@@ -5,7 +5,7 @@ import pytest
 
 from repro.eval.codesize import compute_codesize, format_codesize
 from repro.eval.int8_study import (compute_int8_study, format_int8_study)
-from repro.rrm import suite
+from repro.rrm.networks import suite
 
 
 def test_codesize(benchmark, save_artifact):

@@ -8,7 +8,7 @@ over scales 1/2/4/8 and asserts the stage ratios hold."""
 import pytest
 
 from repro.core.tracer import Trace
-from repro.rrm import suite
+from repro.rrm.networks import suite
 from repro.rrm.suite import LEVEL_KEYS, network_trace
 
 

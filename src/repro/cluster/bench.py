@@ -27,6 +27,7 @@ import time
 
 import numpy as np
 
+from ..perfmodel.roofline import measured_rows_per_call, roofline_report
 from ..resilience.channel import ChannelFaultPlan
 from ..resilience.hedging import HedgePolicy
 from ..resilience.invariants import (check_breaker_transitions,
@@ -147,9 +148,9 @@ def _single_process_pass(networks, config: EngineConfig, stream,
 
 
 def _cluster_roofline(networks, best_entry) -> dict:
-    """Per-network roofline with achieved req/s from the best pass."""
-    from ..perfmodel.roofline import roofline_report
-    achieved = {}
+    """Per-network roofline with achieved req/s from the best pass, at
+    the rows per call its workers formed."""
+    achieved, rows = {}, 1
     if best_entry is not None:
         elapsed = best_entry.get("elapsed_s") or 0.0
         per_net = best_entry.get("cluster_metrics", {}).get(
@@ -157,7 +158,9 @@ def _cluster_roofline(networks, best_entry) -> dict:
         if elapsed > 0:
             achieved = {name: counters.get("completed", 0) / elapsed
                         for name, counters in per_net.items()}
-    return roofline_report(networks, achieved_rps=achieved)
+        rows = best_entry["rows_per_call"]
+    return roofline_report(networks, achieved_rps=achieved,
+                           rows_per_call=rows)
 
 
 def run_cluster_bench(scale: int | None = None, level: str = "e",
@@ -237,6 +240,9 @@ def run_cluster_bench(scale: int | None = None, level: str = "e",
                 "n_shards": n_shards,
                 "replicas_per_shard": replicas,
                 **run,
+                "rows_per_call": measured_rows_per_call(*(
+                    final.get("per_network", {})
+                    for final in metrics.worker_finals.values())),
                 "speedup_vs_sequential":
                     run["achieved_throughput_rps"]
                     / sequential["throughput_rps"]

@@ -139,6 +139,9 @@ class Cpu:
         # addition to* the per-closure count in the run loop.  A list so
         # kernels can bump it without attribute lookups.
         self._xinstret = [0]
+        # The value of ``_xinstret`` past which a turbo kernel knows the
+        # current run has overrun its budget (set by each run).
+        self._xlimit = [0]
         #: turbo-engine counters (always present; zeros under "interp")
         self.turbo_stats = {"vector_loops": 0, "vector_iters": 0,
                             "bails": 0, "fused_blocks": 0}
@@ -188,7 +191,12 @@ class Cpu:
             cell[0] = cell[1] = 0
 
     def run(self, entry: int = 0) -> Trace:
-        """Execute from byte address ``entry`` until halt or fall-through."""
+        """Execute from byte address ``entry`` until halt or fall-through.
+
+        Raises :class:`ExecutionLimitExceeded` once this run retires more
+        than ``max_instrs`` instructions (a per-run budget: ``instret``
+        keeps counting across runs, the budget does not).
+        """
         if entry % 4:
             raise SimError("entry point must be word-aligned")
         if self._tcode is not None:
@@ -197,7 +205,7 @@ class Cpu:
         hw = self._hw
         size = len(code)
         idx = entry // 4
-        budget = self.max_instrs - self.instret
+        budget = self.max_instrs
         executed = 0
         self.halted = False
         while 0 <= idx < size:
@@ -250,10 +258,11 @@ class Cpu:
         hw = self._hw
         size = len(code)
         idx = entry // 4
-        budget = self.max_instrs - self.instret
+        budget = self.max_instrs
         executed = 0
         xi = self._xinstret
         xstart = xi[0]
+        self._xlimit[0] = xstart + budget
         check_at = min(_BUDGET_STRIDE, budget + 1)
         self.halted = False
         while 0 <= idx < size:

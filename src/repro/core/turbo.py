@@ -1183,6 +1183,7 @@ def _make_br_wrapper(cpu, idx, t, proven_trip=None):
     bs, be, blen = t["bs"], t["be"], t["blen"]
     br_cost = t["costs"][-1]  # not-taken cost of the branch terminator
     xi = cpu._xinstret
+    xlimit = cpu._xlimit
     tstats = cpu.turbo_stats
     # An absint-proven constant trip count seeds the window hint (the
     # first iteration always runs scalar, so N trips leave N-1 for the
@@ -1247,7 +1248,7 @@ def _make_br_wrapper(cpu, idx, t, proven_trip=None):
                 state["hint"] = max(total, MIN_VEC)
                 return be + 1
             u = min(u * 8, N_MAX)
-            if xi[0] > cpu.max_instrs:
+            if xi[0] > xlimit[0]:
                 raise ExecutionLimitExceeded(
                     f"exceeded {cpu.max_instrs} instructions")
     return wrapper

@@ -43,8 +43,8 @@ Fault kinds (``FaultSpec.kind``):
 ``kill``
     Worker death: raises :class:`InjectedWorkerDeath` (a
     ``BaseException``) the first time a windowed request is executed,
-    escaping the engine's batch guard and terminating the worker thread
-    — the watchdog's job to detect and repair.
+    escaping the engine's batch guard; the dispatcher fails that batch
+    and keeps serving.
 
 ``sdc``
     Silent data corruption in *compute*: a single-bit XOR armed into
@@ -74,8 +74,8 @@ class InjectedWorkerDeath(BaseException):
     """A scripted worker-thread death.
 
     Derives from ``BaseException`` so it escapes the engine's
-    ``except Exception`` batch guard by design: this is the fault that
-    exercises the watchdog, not the bisect path.
+    ``except Exception`` batch guard by design: this fault fails its
+    whole batch at the dispatcher instead of taking the bisect path.
     """
 
 

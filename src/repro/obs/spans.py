@@ -6,7 +6,7 @@ monotonic clock, and renders them in the Chrome trace-event format —
 load the written file at https://ui.perfetto.dev (or
 ``chrome://tracing``) to see the serving pipeline laid out per network:
 enqueue, batch assembly, execute attempts (with bisect depth), retries,
-breaker transitions and watchdog interventions.
+breaker transitions and injected faults.
 
 Tracing is strictly opt-in: the serving engine's hot path pays a single
 ``is None`` test per hook when no tracer is attached.  Recording is a

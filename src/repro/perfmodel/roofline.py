@@ -2,14 +2,15 @@
 
 The classic roofline (Williams et al.) bounds attainable throughput by
 ``min(peak_compute, bandwidth * operational_intensity)``.  Here the
-"kernel" is one whole network inference as the AOT backend executes it
-(:mod:`repro.serve.aot`): the op count is the network's exact MAC count
-(2 ops per MAC), and the bytes moved are the int16 Q3.12 footprint the
-paper's datapath streams — weights + biases once per inference, input /
-output / recurrent state once per timestep.  Operational intensity is
-their ratio, so each suite network lands at a fixed x-position on the
-roofline and the model converts straight into a per-network request/s
-ceiling for capacity planning.
+"kernel" is one batched call of a network as the AOT backend executes
+it (:mod:`repro.serve.aot`): the op count is the network's exact MAC
+count (2 ops per MAC) per row, and the bytes moved are the int16 Q3.12
+footprint the paper's datapath streams — weights + biases once per
+call, input / output / recurrent state once per timestep of every row.
+Operational intensity is their ratio, so it grows with the rows per
+call: each suite network lands at an x-position set by its batch, and
+the model converts straight into a per-network request/s ceiling for
+capacity planning.
 
 Ceilings come from :func:`calibrate_host`, a two-point microbenchmark of
 the same primitives the fused plans actually use (float64 GEMM for the
@@ -29,7 +30,8 @@ import numpy as np
 from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 
 __all__ = ["network_ops", "network_bytes", "operational_intensity",
-           "calibrate_host", "roofline_point", "roofline_report"]
+           "calibrate_host", "roofline_point", "roofline_report",
+           "measured_rows_per_call"]
 
 #: Bytes per element of the Q3.12 datapath (int16 weights/activations).
 _ELEM_BYTES = 2
@@ -63,22 +65,38 @@ def _layer_stream_elems(spec) -> int:
     return elems
 
 
-def network_bytes(network: Network) -> int:
-    """Bytes moved per inference on the int16 datapath.
+def network_bytes(network: Network, rows_per_call: float = 1) -> float:
+    """Bytes one call of ``rows_per_call`` rows moves on the int16
+    datapath.
 
-    Weights and biases stream once per inference (no weight reuse
-    across requests is assumed — the conservative, paper-faithful
-    choice for small-batch serving); activations and recurrent state
-    move once per timestep.
+    Weights and biases stream once per call (the batch shares them);
+    activations and recurrent state move once per timestep of every
+    row.  At one row per call this is one unbatched inference.
     """
     params = sum(_layer_param_elems(s) for s in network.layers)
     stream = sum(_layer_stream_elems(s) for s in network.layers)
-    return _ELEM_BYTES * (params + stream * network.timesteps)
+    return _ELEM_BYTES * (params
+                          + rows_per_call * stream * network.timesteps)
 
 
-def operational_intensity(network: Network) -> float:
-    """Ops per byte moved — the network's x-position on the roofline."""
-    return network_ops(network) / network_bytes(network)
+def operational_intensity(network: Network,
+                          rows_per_call: float = 1) -> float:
+    """Ops per byte moved at ``rows_per_call`` — the network's
+    x-position on the roofline."""
+    return (rows_per_call * network_ops(network)
+            / network_bytes(network, rows_per_call))
+
+
+def measured_rows_per_call(*per_network: dict) -> dict:
+    """Mean rows per model call per network, from one or more engines'
+    ``metrics["per_network"]`` counters (completed over batches)."""
+    completed, batches = {}, {}
+    for counters in per_network:
+        for name, row in counters.items():
+            completed[name] = completed.get(name, 0) + row["completed"]
+            batches[name] = batches.get(name, 0) + row["batches"]
+    return {name: completed[name] / batches[name]
+            for name in batches if batches[name]}
 
 
 _CALIBRATION: dict | None = None
@@ -132,14 +150,18 @@ def calibrate_host(size: int = 384, repeats: int = 3,
 
 def roofline_point(network: Network, peak_flops: float | None = None,
                    bandwidth: float | None = None,
-                   achieved_rps: float | None = None) -> dict:
-    """One network's roofline row.
+                   achieved_rps: float | None = None,
+                   rows_per_call: float = 1) -> dict:
+    """One network's roofline row at ``rows_per_call`` rows per call.
 
-    ``ceiling_rps`` converts the attainable ops/s at the network's
-    intensity into whole inferences per second; ``bound`` names the
-    binding roof.  With ``achieved_rps`` the row also carries the
-    achieved ops/s and percent-of-ceiling.
+    ``ops`` and ``bytes`` are per request (the call's bytes shared by
+    its rows).  ``ceiling_rps`` converts the attainable ops/s at the
+    network's intensity into whole inferences per second; ``bound``
+    names the binding roof.  With ``achieved_rps`` the row also carries
+    the achieved ops/s and percent-of-ceiling.
     """
+    if rows_per_call <= 0:
+        raise ValueError("rows_per_call must be positive")
     if peak_flops is None or bandwidth is None:
         cal = calibrate_host()
         peak_flops = peak_flops if peak_flops is not None \
@@ -147,10 +169,11 @@ def roofline_point(network: Network, peak_flops: float | None = None,
         bandwidth = bandwidth if bandwidth is not None \
             else cal["bandwidth_bytes_s"]
     ops = network_ops(network)
-    nbytes = network_bytes(network)
+    nbytes = network_bytes(network, rows_per_call) / rows_per_call
     oi = ops / nbytes
     attainable = min(peak_flops, bandwidth * oi)
     point = {
+        "rows_per_call": rows_per_call,
         "ops": ops,
         "bytes": nbytes,
         "oi": oi,
@@ -170,11 +193,14 @@ def roofline_point(network: Network, peak_flops: float | None = None,
 
 def roofline_report(networks, achieved_rps: dict | None = None,
                     peak_flops: float | None = None,
-                    bandwidth: float | None = None) -> dict:
+                    bandwidth: float | None = None,
+                    rows_per_call=1) -> dict:
     """Per-network roofline table for a bench report.
 
     ``achieved_rps`` maps network name to measured request/s (missing
-    networks get ceiling-only rows).
+    networks get ceiling-only rows).  ``rows_per_call`` is the batch
+    the requests were served at: one number for every network, or a
+    map from network name to its measured mean (missing: 1).
     """
     if peak_flops is None or bandwidth is None:
         cal = calibrate_host()
@@ -183,6 +209,9 @@ def roofline_report(networks, achieved_rps: dict | None = None,
         bandwidth = bandwidth if bandwidth is not None \
             else cal["bandwidth_bytes_s"]
     achieved_rps = achieved_rps or {}
+    if not isinstance(rows_per_call, dict):
+        rows_per_call = {network.name: rows_per_call
+                         for network in networks}
     return {
         "host": {
             "peak_flops": peak_flops,
@@ -193,7 +222,8 @@ def roofline_report(networks, achieved_rps: dict | None = None,
         "per_network": {
             network.name: roofline_point(
                 network, peak_flops=peak_flops, bandwidth=bandwidth,
-                achieved_rps=achieved_rps.get(network.name))
+                achieved_rps=achieved_rps.get(network.name),
+                rows_per_call=rows_per_call.get(network.name, 1))
             for network in networks
         },
     }

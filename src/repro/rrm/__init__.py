@@ -1,19 +1,20 @@
-"""RRM benchmark suite, workload generators and classical baselines."""
+"""RRM benchmark suite, workload generators and classical baselines.
+
+``repro.rrm.suite`` is the suite-runner module; the ``suite(scale)``
+function that lists the networks lives in :mod:`repro.rrm.networks`.
+"""
 
 from .basestation import BaseStationSim, TtiReport
 from .dqn import DqnAgent, ReplayBuffer, evaluate_policy, train_dsa_agent
+from .networks import FULL_SUITE, NETWORK_ORDER, default_scale, scale_network
 from .scenarios import InterferenceChannel, SpectrumAccessEnv
 from .suite import (LEVEL_KEYS, SuiteRunner, network_speedups, network_trace,
                     plan_for, suite_speedups, suite_trace)
 from .trainer import MLPTrainer, make_wmmse_dataset, train_power_allocator
 from .wmmse import sum_rate, wmmse_power_allocation
-# imported last: the `suite` *function* must win over the `.suite` module
-# attribute that the import above binds on this package
-from .networks import (FULL_SUITE, NETWORK_ORDER, default_scale,
-                       scale_network, suite)
 
 __all__ = [
-    "FULL_SUITE", "NETWORK_ORDER", "suite", "scale_network", "default_scale",
+    "FULL_SUITE", "NETWORK_ORDER", "scale_network", "default_scale",
     "InterferenceChannel", "SpectrumAccessEnv",
     "DqnAgent", "ReplayBuffer", "train_dsa_agent", "evaluate_policy",
     "BaseStationSim", "TtiReport",

@@ -10,10 +10,12 @@ layers a production-shaped runtime on top of the bit-exact golden model:
   with the exact Q3.12 saturation semantics of
   :class:`repro.nn.network.QuantModel` (bit-identical per sample).
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, per-network
-  request queues with dynamic batching (max batch size + max linger),
-  a cached plan/model registry keyed on ``(network, level)``,
-  per-request deadlines with timeout rejection and load shedding, and
-  the fault-tolerance layer: batch-bisect retry, a worker watchdog and
+  request queues served by one dispatcher thread (due-time order
+  across networks; dynamic batching by max batch size and a max linger
+  that the measured arrival rate can skip), a cached plan/model
+  registry keyed on ``(network, level)``, per-request deadlines with
+  timeout rejection and load shedding, and the fault-tolerance layer:
+  batch-bisect retry, worker deaths confined to their own batch and
   CRC32 weight-integrity guards with automatic repair.
 * :mod:`repro.serve.breaker` — :class:`CircuitBreaker`, the per-network
   closed/open/half-open state machine with exponential backoff that

@@ -565,7 +565,8 @@ def run_aot_bench(scale: int | None = None, level: str = "e",
             "speedup_vs_batched": (total_batched / total_aot
                                    if total_aot > 0 else 0.0),
         },
-        "roofline": roofline_report(networks, achieved_rps=achieved),
+        "roofline": roofline_report(networks, achieved_rps=achieved,
+                                    rows_per_call=batch_size),
     }
     if out_path:
         directory = os.path.dirname(os.path.abspath(out_path))

@@ -10,11 +10,10 @@ State machine::
 
 While OPEN every new submission is rejected immediately
 (``REJECTED_UNAVAILABLE``) — requests spend no queue time on a network
-that is known-broken, and the backlog cannot strand when the worker is
-gone.  After the exponential backoff elapses the breaker admits a small
-probe quota (HALF_OPEN); one successful batch closes it and resets the
-backoff, one failed batch re-opens it with the backoff doubled (capped
-at ``backoff_max_s``).
+that is known-broken.  After the exponential backoff elapses the breaker
+admits a small probe quota (HALF_OPEN); one successful batch closes it
+and resets the backoff, one failed batch re-opens it with the backoff
+doubled (capped at ``backoff_max_s``).
 
 Failures are counted per *dispatched batch outcome*: a batch counts as a
 failure only when **no** request in it completed (batch-bisect isolating
@@ -24,7 +23,6 @@ open the breaker for everyone).
 
 from __future__ import annotations
 
-import math
 import threading
 import time
 
@@ -127,12 +125,6 @@ class CircuitBreaker:
             if self._state != BreakerState.CLOSED:  # re-opening
                 self._backoff = min(self._backoff * 2, self.backoff_max_s)
             self._open_until = self.clock() + self._backoff
-            self._transition(BreakerState.OPEN)
-
-    def force_open(self, duration_s: float = math.inf) -> None:
-        """Open unconditionally (watchdog: worker permanently dead)."""
-        with self._lock:
-            self._open_until = self.clock() + duration_s
             self._transition(BreakerState.OPEN)
 
     def reset(self) -> None:

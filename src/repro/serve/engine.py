@@ -2,20 +2,27 @@
 and the fault-tolerance layer that keeps all of it serving under injected
 hardware- and software-level faults.
 
-One :class:`InferenceEngine` serves the whole network suite.  Each
-network gets its own request queue and worker thread; the worker forms
-batches with the classic dynamic-batching policy (dispatch when the
-batch is full *or* the oldest queued request has lingered
-``max_linger_s``), stacks the inputs and runs them through a cached
-:class:`~repro.serve.batched.BatchedQuantModel`.
+One :class:`InferenceEngine` serves the whole network suite from one
+dispatcher thread.  Each network gets its own request queue; submissions
+append to it under the engine lock.  The dispatcher takes, from the
+*ready* queue whose head is due first, up to ``max_batch_size``
+requests, stacks their inputs and runs them through the network's
+cached compiled model.  A request is due at its deadline, or at its
+arrival when it has none, so no request can starve.  A queue is ready
+when
+
+* it holds a full batch,
+* its head has waited ``max_linger_s``, or
+* its measured arrival rate says no further row will arrive before the
+  linger runs out (the *rate gate*: a smoothed inter-arrival gap kept
+  per network at submit), so a lone request at low load is served at
+  once while a loaded queue still waits for a full batch.
 
 Overload behaviour degrades gracefully rather than collapsing:
 
 * a full queue sheds new arrivals immediately (``rejected_capacity``),
 * requests whose deadline has already passed are rejected at dispatch
-  time instead of wasting batch slots (``rejected_timeout``),
-* under pressure (queue deeper than ``pressure_depth``) the linger is
-  skipped entirely, trading batch size for queueing latency.
+  time instead of wasting batch slots (``rejected_timeout``).
 
 Fault behaviour degrades gracefully too (see ``docs/ROBUSTNESS.md``):
 
@@ -26,9 +33,10 @@ Fault behaviour degrades gracefully too (see ``docs/ROBUSTNESS.md``):
   open the breaker, new submissions are rejected fast
   (``rejected_unavailable``), and exponential-backoff half-open probes
   re-close it once the network recovers.
-* **Worker watchdog** — a supervisor thread detects dead or stalled
-  workers, fails their stranded in-flight requests, and restarts them
-  (bounded; after ``max_worker_restarts`` the breaker is forced open).
+* **Worker death** — an injected ``kill`` fails only the batch it hits
+  and counts as a breaker failure; the dispatcher keeps serving.  A
+  batch that never returns stalls every network (there is one
+  dispatcher); a dead *process* is the cluster's job.
 * **Weight-integrity guards** — CRC32 checksums over every quantized
   parameter array, verified on a batch cadence and on batch failure;
   a mismatch (e.g. an injected SEU bit flip) triggers an automatic
@@ -44,6 +52,7 @@ metrics report as estimated simulated cycles per request.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 import zlib
@@ -104,7 +113,7 @@ class Request:
     #: request reaches a terminal status (from whichever thread settles
     #: it).  The cluster worker uses this to ship responses back over
     #: its pipe without polling; exceptions are swallowed so a broken
-    #: callback can never kill an engine worker thread.
+    #: callback can never kill the engine's dispatcher thread.
     on_settle: object = field(default=None, repr=False)
     _done: threading.Event = field(default_factory=threading.Event,
                                    repr=False)
@@ -305,13 +314,12 @@ class EngineConfig:
     #: ``"batched"`` forces the interpreted :class:`BatchedQuantModel`.
     backend: str = "aot"
     max_batch_size: int = 16
-    #: Max time the oldest queued request waits for the batch to fill.
+    #: Max time the oldest queued request waits for the batch to fill
+    #: (not at all when the network's measured arrival rate says no
+    #: further row will arrive within it).
     max_linger_s: float = 0.002
     #: Per-network queue capacity; arrivals beyond it are shed.
     queue_capacity: int = 1024
-    #: Queue depth beyond which the linger is skipped (degrade to
-    #: whatever is already queued instead of waiting for a full batch).
-    pressure_depth: int = 64
     seed: int = 2020
     #: Consecutive fully-failed batches that open a network's breaker.
     breaker_failure_threshold: int = 3
@@ -323,12 +331,6 @@ class EngineConfig:
     #: Verify weight CRCs every N dispatched batches per network
     #: (0 disables the integrity guard entirely).
     integrity_check_every: int = 50
-    #: Watchdog poll interval and stall threshold.
-    watchdog_interval_s: float = 0.02
-    worker_stall_timeout_s: float = 5.0
-    #: Worker restarts the watchdog will attempt before declaring the
-    #: network dead (breaker forced open, backlog failed).
-    max_worker_restarts: int = 3
     #: Extra attempts for a failing single-request batch (bisect leaf or
     #: batch-of-one): a transient fault recovers, a persistent poison
     #: request still fails after the budget.
@@ -355,16 +357,10 @@ class EngineConfig:
             raise ValueError("breaker_failure_threshold must be >= 1")
         if self.integrity_check_every < 0:
             raise ValueError("integrity_check_every cannot be negative")
-        if self.max_worker_restarts < 0:
-            raise ValueError("max_worker_restarts cannot be negative")
         if self.failed_single_retries < 0:
             raise ValueError("failed_single_retries cannot be negative")
         if self.abft_max_reruns < 0:
             raise ValueError("abft_max_reruns cannot be negative")
-        if self.watchdog_interval_s <= 0:
-            raise ValueError("watchdog_interval_s must be positive")
-        if self.worker_stall_timeout_s <= 0:
-            raise ValueError("worker_stall_timeout_s must be positive")
 
 
 class _TracingMetricsProxy:
@@ -388,27 +384,47 @@ class _TracingMetricsProxy:
         self._metrics.on_fault(name, kind)
 
 
+#: Weight of each new inter-arrival gap in a network's smoothed gap, the
+#: rate gate's estimate (the same constant TCP smooths round trips with).
+_GAP_WEIGHT = 0.125
+#: How long :meth:`InferenceEngine.stop` waits for the dispatcher.
+_STOP_TIMEOUT_S = 30.0
+
+
 class _NetworkQueue:
-    """Request queue + worker state for one network."""
+    """Request queue + arrival-rate state for one network.
+
+    Guarded by the engine lock.
+    """
 
     def __init__(self, network: Network):
         self.network = network
         self.pending: deque[Request] = deque()
-        self.cond = threading.Condition()
-        self.thread: threading.Thread | None = None
         #: Per-network arrival counter (fault-injection key space).
         self.seq = 0
-        #: Batch currently being executed by the worker; left in place on
-        #: worker death so the watchdog can fail it.
-        self.inflight: list[Request] = []
-        #: Monotonic timestamp of the worker's last liveness signal.
-        self.heartbeat = 0.0
-        #: Watchdog restart budget consumed this engine run.
-        self.restarts = 0
         #: Dispatched-batch counter (integrity-check cadence).
         self.batches = 0
-        #: True while a stall has been reported and not yet cleared.
-        self.stalled = False
+        #: Last queued arrival, and the smoothed gap between queued
+        #: arrivals (``None`` until two have been seen).
+        self.last_arrival: float | None = None
+        self.gap: float | None = None
+
+    def arrive(self, now: float) -> None:
+        if self.last_arrival is not None:
+            gap = now - self.last_arrival
+            self.gap = gap if self.gap is None \
+                else self.gap + _GAP_WEIGHT * (gap - self.gap)
+        self.last_arrival = now
+
+    def ready_at(self, max_batch_size: int, max_linger_s: float) -> float:
+        """When the head batch may go: ``-inf`` if it may go now,
+        otherwise the end of the head's linger."""
+        if len(self.pending) >= max_batch_size:
+            return -math.inf
+        linger_end = self.pending[0].submit_time + max_linger_s
+        if self.gap is None or self.last_arrival + self.gap > linger_end:
+            return -math.inf  # no further row expected in time
+        return linger_end
 
 
 class InferenceEngine:
@@ -423,10 +439,10 @@ class InferenceEngine:
         engine.stop()
 
     Requests may be submitted before :meth:`start`; they queue up and are
-    served once the workers run (tests use this for deterministic batch
-    formation).  ``clock`` is injectable for tests.  ``fault_injector``
-    (a :class:`repro.faults.FaultInjector`) hooks every execution
-    attempt; ``None`` serves fault-free.
+    served once the dispatcher runs (tests use this for deterministic
+    batch formation).  ``clock`` is injectable for tests.
+    ``fault_injector`` (a :class:`repro.faults.FaultInjector`) hooks
+    every execution attempt; ``None`` serves fault-free.
     """
 
     def __init__(self, networks=None, config: EngineConfig | None = None,
@@ -452,10 +468,15 @@ class InferenceEngine:
                                backend=self.config.backend)
         self._queues = {net.name: _NetworkQueue(net) for net in self.networks}
         self._ids = itertools.count(1)
+        #: The engine lock: guards every queue and the flags below.
+        self._cond = threading.Condition(threading.Lock())
         self._running = False
-        self._lock = threading.Lock()
-        self._stop_event = threading.Event()
-        self._watchdog_thread: threading.Thread | None = None
+        #: Set by ``stop(drain=True)``: serve the backlog, then exit.
+        self._draining = False
+        self._thread: threading.Thread | None = None
+        #: The batch the dispatcher is executing (settled by ``stop`` if
+        #: the dispatcher never comes back from it).
+        self._inflight: list[Request] = []
         #: Breaker transition log: ``{"t", "network", "from", "to"}``.
         self.breaker_events: list[dict] = []
         self.breakers = {
@@ -483,68 +504,43 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     # Lifecycle.
     def start(self) -> "InferenceEngine":
-        with self._lock:
+        with self._cond:
             if self._running:
                 return self
             self._running = True
-            self._stop_event = threading.Event()
-        now = self.clock()
+            self._draining = False
         for breaker in self.breakers.values():
             breaker.reset()
-        for queue in self._queues.values():
-            queue.restarts = 0
-            queue.stalled = False
-            queue.heartbeat = now
-            self._spawn_worker(queue)
-        watchdog = threading.Thread(target=self._watchdog,
-                                    name="serve-watchdog", daemon=True)
-        self._watchdog_thread = watchdog
-        watchdog.start()
+        self._thread = threading.Thread(target=self._dispatch,
+                                        name="serve-dispatcher", daemon=True)
+        self._thread.start()
         return self
 
-    def _spawn_worker(self, queue: _NetworkQueue) -> None:
-        thread = threading.Thread(
-            target=self._worker, args=(queue,),
-            name=f"serve-{queue.network.name}-r{queue.restarts}",
-            daemon=True)
-        queue.thread = thread
-        thread.start()
-
     def stop(self, drain: bool = True) -> None:
-        """Stop the workers; with ``drain`` (default) serve the backlog first.
+        """Stop the dispatcher; with ``drain`` (default) serve the backlog
+        first.
 
-        With ``drain=False`` (or for requests a dead worker left behind)
-        the backlog is *settled* as FAILED rather than stranded: every
-        accepted request is guaranteed a terminal status once ``stop``
-        returns.
+        With ``drain=False`` the backlog is *settled* as FAILED rather
+        than stranded, and so is a batch the dispatcher has not come
+        back from within ``_STOP_TIMEOUT_S``: every accepted request is
+        guaranteed a terminal status once ``stop`` returns.
         """
-        with self._lock:
-            was_running = self._running
-            if was_running and drain:
-                self._drain()
+        with self._cond:
+            self._draining = drain and self._running
             self._running = False
-        self._stop_event.set()
-        for queue in self._queues.values():
-            with queue.cond:
-                queue.cond.notify_all()
-        if self._watchdog_thread is not None:
-            self._watchdog_thread.join(timeout=10.0)
-            self._watchdog_thread = None
-        for queue in self._queues.values():
-            if queue.thread is not None:
-                queue.thread.join(timeout=10.0)
-                queue.thread = None
-        # Settle anything left: un-drained backlog, batches stranded by a
-        # dead worker, pre-start submissions on a never-started engine.
-        for queue in self._queues.values():
-            leftovers = list(queue.inflight)
-            queue.inflight = []
-            with queue.cond:
+            self._cond.notify()
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            thread.join(timeout=_STOP_TIMEOUT_S)
+        with self._cond:
+            self._draining = False
+            leftovers = list(self._inflight) \
+                if thread is not None and thread.is_alive() else []
+            for queue in self._queues.values():
                 leftovers.extend(queue.pending)
                 queue.pending.clear()
-            for request in leftovers:
-                self._settle_failed(request, queue.network.name,
-                                    "engine stopped")
+        for request in leftovers:
+            self._settle_failed(request, request.network, "engine stopped")
 
     def _settle_failed(self, request: Request, name: str, error: str) -> None:
         if request._done.is_set():
@@ -552,97 +548,11 @@ class InferenceEngine:
         request._settle(RequestStatus.FAILED, error=error)
         self.metrics.on_failed(name)
 
-    def _drain(self) -> None:
-        deadline = time.monotonic() + 30.0
-        for queue in self._queues.values():
-            with queue.cond:
-                while queue.pending and time.monotonic() < deadline:
-                    thread = queue.thread
-                    dead = thread is None or not thread.is_alive()
-                    if dead and (queue.restarts
-                                 >= self.config.max_worker_restarts):
-                        # The worker is gone for good; waiting out the
-                        # drain deadline would just strand the caller.
-                        stranded = list(queue.pending)
-                        queue.pending.clear()
-                        for request in stranded:
-                            self._settle_failed(request, queue.network.name,
-                                                "worker dead at drain")
-                        break
-                    queue.cond.wait(timeout=0.05)
-
     def __enter__(self) -> "InferenceEngine":
         return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-    # ------------------------------------------------------------------
-    # Watchdog.
-    def _watchdog(self) -> None:
-        while self._running:
-            for queue in self._queues.values():
-                if not self._running:
-                    break
-                thread = queue.thread
-                if thread is not None and not thread.is_alive():
-                    self._revive(queue)
-                else:
-                    self._check_stall(queue)
-            self._stop_event.wait(self.config.watchdog_interval_s)
-
-    def _revive(self, queue: _NetworkQueue) -> None:
-        """Handle a dead worker: fail its stranded batch, restart or trip."""
-        name = queue.network.name
-        # Deliberately does NOT take the engine lock: stop(drain=True)
-        # holds it for the whole drain, and a revive must be able to run
-        # concurrently (a restarted worker spawned after stop() flips
-        # ``_running`` just exits immediately, which is harmless).
-        if not self._running:
-            return
-        stranded = list(queue.inflight)
-        queue.inflight = []
-        for request in stranded:
-            self._settle_failed(request, name, "worker died mid-batch")
-        if queue.restarts < self.config.max_worker_restarts:
-            queue.restarts += 1
-            queue.heartbeat = self.clock()
-            self.metrics.on_worker_restart(name)
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "worker-restart", "watchdog",
-                    args={"network": name, "restart": queue.restarts,
-                          "stranded": len(stranded)})
-            self._spawn_worker(queue)
-        else:
-            # Restart budget exhausted: the network is down.  Fail the
-            # backlog and fast-reject everything new.
-            queue.thread = None
-            self.breakers[name].force_open()
-            with queue.cond:
-                backlog = list(queue.pending)
-                queue.pending.clear()
-                queue.cond.notify_all()
-            for request in backlog:
-                self._settle_failed(request, name,
-                                    "worker permanently dead")
-
-    def _check_stall(self, queue: _NetworkQueue) -> None:
-        name = queue.network.name
-        busy = queue.pending or queue.inflight
-        stale = (self.clock() - queue.heartbeat
-                 > self.config.worker_stall_timeout_s)
-        if busy and stale:
-            if not queue.stalled:
-                queue.stalled = True
-                self.metrics.on_worker_stall(name)
-                if self.tracer is not None:
-                    self.tracer.instant("worker-stall", "watchdog",
-                                        args={"network": name})
-                self.breakers[name].force_open(
-                    self.config.breaker_backoff_max_s)
-        elif queue.stalled and not stale:
-            queue.stalled = False
 
     # ------------------------------------------------------------------
     # Submission.
@@ -685,30 +595,35 @@ class InferenceEngine:
         if tracer is not None:
             request._enqueue_us = tracer.now_us()
         self.metrics.on_submit(network_name)
-        with queue.cond:
+        reject = None
+        with self._cond:
             # Every arrival consumes a sequence number, accepted or not,
             # so the fault-injection key space is deterministic.
             request.seq = queue.seq
             queue.seq += 1
             if not self.breakers[network_name].allow_request():
-                request._settle(RequestStatus.REJECTED_UNAVAILABLE)
-                self.metrics.on_reject(network_name, "unavailable")
-                if tracer is not None:
-                    tracer.instant("reject:unavailable",
-                                   f"{network_name}/queue",
-                                   args={"trace_id": request.trace_id})
-                return request
-            if len(queue.pending) >= self.config.queue_capacity:
-                request._settle(RequestStatus.REJECTED_CAPACITY)
-                self.metrics.on_reject(network_name, "capacity")
-                if tracer is not None:
-                    tracer.instant("reject:capacity",
-                                   f"{network_name}/queue",
-                                   args={"trace_id": request.trace_id})
-                return request
-            queue.pending.append(request)
-            depth = len(queue.pending)
-            queue.cond.notify_all()
+                reject = "unavailable"
+            elif len(queue.pending) >= self.config.queue_capacity:
+                reject = "capacity"
+            else:
+                queue.arrive(now)
+                queue.pending.append(request)
+                depth = len(queue.pending)
+                # The dispatcher already waits on this queue's head
+                # linger; wake it only when that may change.
+                if depth == 1 or not self._running or queue.ready_at(
+                        self.config.max_batch_size,
+                        self.config.max_linger_s) <= now:
+                    self._cond.notify()
+        if reject is not None:
+            request._settle(RequestStatus.REJECTED_UNAVAILABLE
+                            if reject == "unavailable"
+                            else RequestStatus.REJECTED_CAPACITY)
+            self.metrics.on_reject(network_name, reject)
+            if tracer is not None:
+                tracer.instant(f"reject:{reject}", f"{network_name}/queue",
+                               args={"trace_id": request.trace_id})
+            return request
         self._report_depth(network_name, depth)
         return request
 
@@ -731,51 +646,66 @@ class InferenceEngine:
                 for name, breaker in self.breakers.items()}
 
     # ------------------------------------------------------------------
-    # Worker.
-    def _collect_batch(self, queue: _NetworkQueue) -> list[Request]:
-        """Block until a batch is ready (or the engine stops)."""
-        cfg = self.config
-        with queue.cond:
-            while True:
-                queue.heartbeat = self.clock()
-                if not self._running:
-                    return []
-                if queue.pending:
-                    oldest = queue.pending[0].submit_time
-                    depth = len(queue.pending)
-                    full = depth >= cfg.max_batch_size
-                    pressured = depth > cfg.pressure_depth
-                    lingered = (self.clock() - oldest) >= cfg.max_linger_s
-                    if full or pressured or lingered:
-                        batch = [queue.pending.popleft()
-                                 for _ in range(min(depth,
-                                                    cfg.max_batch_size))]
-                        queue.cond.notify_all()
-                        return batch
-                    remaining = cfg.max_linger_s - (self.clock() - oldest)
-                    queue.cond.wait(timeout=min(max(remaining, 1e-4), 0.05))
-                else:
-                    queue.cond.wait(timeout=0.05)
+    # Dispatcher.
+    def _next_queue(self):
+        """Pick the ready queue whose head is due first.
 
-    def _worker(self, queue: _NetworkQueue) -> None:
-        try:
-            while True:
-                queue.heartbeat = self.clock()
-                batch = self._collect_batch(queue)
-                if not batch:
-                    return
-                if self.tracer is not None:
-                    self._trace_dispatch(queue.network.name, batch)
-                self._report_depth(queue.network.name, len(queue.pending))
-                queue.inflight = batch
+        Returns ``(queue, None)``, or ``(None, wake)`` with the time the
+        first waiting queue becomes ready (``None``: nothing queued).
+        Called under the engine lock; a draining engine lingers for
+        nothing.
+        """
+        cfg = self.config
+        now = self.clock()
+        best, best_due, wake = None, 0.0, None
+        for queue in self._queues.values():
+            if not queue.pending:
+                continue
+            ready_at = queue.ready_at(cfg.max_batch_size, cfg.max_linger_s) \
+                if self._running else -math.inf
+            if ready_at <= now:
+                head = queue.pending[0]
+                due = head.submit_time if head.deadline is None \
+                    else head.deadline
+                if best is None or due < best_due:
+                    best, best_due = queue, due
+            elif wake is None or ready_at < wake:
+                wake = ready_at
+        return best, wake
+
+    def _dispatch(self) -> None:
+        size = self.config.max_batch_size
+        while True:
+            with self._cond:
+                while True:
+                    if not (self._running or self._draining):
+                        return
+                    queue, wake = self._next_queue()
+                    if queue is not None:
+                        break
+                    if not self._running:
+                        return  # drained
+                    self._cond.wait(None if wake is None
+                                    else wake - self.clock())
+                pending = queue.pending
+                batch = [pending.popleft()
+                         for _ in range(min(len(pending), size))]
+                depth = len(pending)
+                self._inflight = batch
+            name = queue.network.name
+            if self.tracer is not None:
+                self._trace_dispatch(name, batch)
+            self._report_depth(name, depth)
+            try:
                 self._execute(queue.network, batch,
                               dispatch_t=self.clock())
-                queue.inflight = []
-        except InjectedWorkerDeath:
-            # Simulated hard death: exit silently with ``inflight`` still
-            # populated — detecting and cleaning this up is the
-            # watchdog's job, exactly as for a real crashed worker.
-            return
+            except InjectedWorkerDeath:
+                # A simulated hard death fails only its own batch.
+                for request in batch:
+                    self._settle_failed(request, name,
+                                        "worker died mid-batch")
+                self.breakers[name].record_failure()
+            self._inflight = []
 
     def _trace_dispatch(self, name: str, batch: list[Request]) -> None:
         """Close the enqueue spans and emit the batch-assembly span."""
@@ -809,8 +739,8 @@ class InferenceEngine:
         if not live:
             return
         # Everything from here on is guarded: no exception may kill the
-        # worker thread (registry build failures included — they settle
-        # the batch as FAILED instead of stranding the queue forever).
+        # dispatcher (registry build failures included — they settle the
+        # batch as FAILED instead of stranding the queue forever).
         try:
             entry = self.registry.get(network, self.config.level)
         except Exception as exc:
@@ -820,7 +750,7 @@ class InferenceEngine:
             self.breakers[name].record_failure()
             return
         # Malformed inputs fail their own request, never the batch or
-        # the worker thread.
+        # the dispatcher.
         valid: list[Request] = []
         inputs: list[np.ndarray] = []
         for request in live:
@@ -905,7 +835,7 @@ class InferenceEngine:
             return 0
         except Exception as exc:
             # InjectedWorkerDeath is a BaseException and deliberately
-            # escapes this guard (that fault targets the watchdog).
+            # escapes this guard: the dispatcher fails the whole batch.
             if tracer is not None:
                 tracer.complete("execute", name, t_start,
                                 args={"batch": len(requests),

@@ -405,14 +405,17 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
     completed = run["completed"]
 
     # Roofline placement: achieved per-network req/s from this run vs
-    # the calibrated host ceiling at each network's intensity.
-    from ..perfmodel.roofline import roofline_report
+    # the calibrated host ceiling at each network's intensity, at the
+    # rows per call the engine actually formed.
+    from ..perfmodel.roofline import measured_rows_per_call, roofline_report
     elapsed = run.get("elapsed_s") or 0.0
     achieved = {
         name: net["completed"] / elapsed if elapsed > 0 else 0.0
         for name, net in metrics["per_network"].items()
     }
-    roofline = roofline_report(networks, achieved_rps=achieved)
+    roofline = roofline_report(
+        networks, achieved_rps=achieved,
+        rows_per_call=measured_rows_per_call(metrics["per_network"]))
 
     # Direct model-level backend comparison at the serving batch size
     # (the open-loop run above measures the *system*; this isolates
@@ -534,7 +537,7 @@ def render_table(result: dict) -> str:
             f"roofline: host peak {host['peak_flops'] / 1e9:.1f} Gop/s, "
             f"bandwidth {host['bandwidth_bytes_s'] / 1e9:.1f} GB/s, "
             f"ridge {host['ridge_oi']:.0f} op/B")
-        header = (f"{'network':<15}{'ops/req':>10}{'bytes':>10}"
+        header = (f"{'network':<15}{'ops/req':>10}{'B/req':>10}"
                   f"{'op/B':>7}{'bound':>9}{'ceil rps':>12}"
                   f"{'ach rps':>10}{'% ceil':>8}")
         lines.append(header)
@@ -543,7 +546,7 @@ def render_table(result: dict) -> str:
             achieved = pt.get("achieved_rps")
             pct = pt.get("pct_of_ceiling")
             lines.append(
-                f"{name:<15}{pt['ops']:>10}{pt['bytes']:>10}"
+                f"{name:<15}{pt['ops']:>10}{pt['bytes']:>10.0f}"
                 f"{pt['oi']:>7.1f}{pt['bound']:>9}"
                 f"{pt['ceiling_rps']:>12.0f}"
                 + (f"{achieved:>10.1f}" if achieved is not None

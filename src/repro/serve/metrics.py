@@ -32,7 +32,6 @@ _COUNTER_FIELDS = (
     "rejected_unavailable", "failed", "batches", "batch_failures",
     "bisects", "retries", "integrity_checks", "integrity_violations",
     "integrity_repairs", "sdc_detections", "sdc_repairs", "sdc_reruns",
-    "worker_restarts", "worker_stalls",
     "faults_injected", "breaker_opens", "breaker_closes", "sim_cycles",
 )
 
@@ -63,8 +62,6 @@ class _NetworkMetrics:
         self.sdc_detections = Counter()
         self.sdc_repairs = Counter()
         self.sdc_reruns = Counter()
-        self.worker_restarts = Counter()
-        self.worker_stalls = Counter()
         self.faults_injected = Counter()
         self.breaker_opens = Counter()
         self.breaker_closes = Counter()
@@ -95,8 +92,6 @@ class _NetworkMetrics:
             "sdc_detections": self.sdc_detections.value,
             "sdc_repairs": self.sdc_repairs.value,
             "sdc_reruns": self.sdc_reruns.value,
-            "worker_restarts": self.worker_restarts.value,
-            "worker_stalls": self.worker_stalls.value,
             "faults_injected": self.faults_injected.value,
             "breaker": {
                 "state": self.breaker_state,
@@ -187,14 +182,6 @@ class ServeMetrics:
         """A batch was re-executed after SDC repair."""
         self.total.sdc_reruns.inc()
         self.network(name).sdc_reruns.inc()
-
-    def on_worker_restart(self, name: str) -> None:
-        self.total.worker_restarts.inc()
-        self.network(name).worker_restarts.inc()
-
-    def on_worker_stall(self, name: str) -> None:
-        self.total.worker_stalls.inc()
-        self.network(name).worker_stalls.inc()
 
     def on_fault(self, name: str, kind: str) -> None:
         """The fault injector fired one fault event."""

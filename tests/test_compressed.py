@@ -166,7 +166,7 @@ class TestAnalysis:
 class TestCodesizeDriver:
     def test_driver_runs_and_orders_levels(self):
         from repro.eval.codesize import compute_codesize, format_codesize
-        from repro.rrm import suite
+        from repro.rrm.networks import suite
         result = compute_codesize(suite(8))
         assert result["a"]["fraction"] > result["e"]["fraction"]
         for stats in result.values():

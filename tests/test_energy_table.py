@@ -3,7 +3,7 @@
 import pytest
 
 from repro.eval.energy_table import compute_energy_table, format_energy_table
-from repro.rrm import suite
+from repro.rrm.networks import suite
 
 
 class TestEnergyTable:

@@ -6,7 +6,7 @@ import pytest
 from repro.kernels import LEVELS, NetworkProgram
 from repro.nn import (ConvSpec, DenseSpec, LstmSpec, Network, init_params,
                       quantize_params)
-from repro.rrm import suite
+from repro.rrm.networks import suite
 from repro.rrm.suite import network_trace
 
 

@@ -5,7 +5,8 @@ import pytest
 
 from repro.kernels import AsmBuilder, LEVELS, MatvecJob, gen_matvec, padded_row
 from repro.perfmodel import matvec_marginal, network_trace, plan_for
-from repro.rrm import SuiteRunner, suite
+from repro.rrm import SuiteRunner
+from repro.rrm.networks import suite
 from repro.rrm.suite import LEVEL_KEYS
 
 

@@ -12,6 +12,7 @@ from repro.nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 from repro.perfmodel import (calibrate_host, network_bytes, network_ops,
                              operational_intensity, roofline_point,
                              roofline_report)
+from repro.perfmodel.roofline import measured_rows_per_call
 from repro.rrm.networks import FULL_SUITE
 
 _DENSE = Network("d", (DenseSpec(8, 4, "relu"),), timesteps=1)
@@ -39,6 +40,21 @@ class TestTrafficCounts:
         spec = _CONV.layers[0]
         stream = spec.in_size + spec.out_size
         assert network_bytes(_CONV) == 2 * (params + stream)
+
+    @pytest.mark.parametrize("rows", (1, 64))
+    def test_weights_once_per_call_activations_per_row(self, rows):
+        # LSTM: weights + biases once per call; input, output and h/c
+        # state per timestep of every row.
+        params = 4 * 5 * (6 + 5) + 4 * 5
+        stream = 6 + 5 + 4 * 5
+        assert network_bytes(_LSTM, rows) == 2 * (params + rows * stream * 3)
+        assert operational_intensity(_LSTM, rows) == pytest.approx(
+            rows * network_ops(_LSTM) / network_bytes(_LSTM, rows))
+
+    def test_batching_raises_intensity(self):
+        for net in FULL_SUITE:
+            assert operational_intensity(net, 64) \
+                > operational_intensity(net, 1)
 
     def test_intensity_is_ratio(self):
         for net in (_DENSE, _LSTM, _CONV):
@@ -79,6 +95,23 @@ class TestCeilingMath:
         assert "achieved_rps" not in p
         assert "pct_of_ceiling" not in p
 
+    def test_rows_per_call_shares_the_weights(self):
+        one = roofline_point(_LSTM, peak_flops=1e15, bandwidth=1e9)
+        many = roofline_point(_LSTM, peak_flops=1e15, bandwidth=1e9,
+                              rows_per_call=64)
+        assert many["rows_per_call"] == 64
+        assert many["ops"] == one["ops"] == network_ops(_LSTM)
+        assert many["bytes"] == pytest.approx(network_bytes(_LSTM, 64) / 64)
+        assert many["oi"] == pytest.approx(operational_intensity(_LSTM, 64))
+        assert many["ceiling_rps"] == pytest.approx(
+            1e9 * many["oi"] / network_ops(_LSTM))
+        assert many["ceiling_rps"] > one["ceiling_rps"]
+
+    def test_rows_per_call_must_be_positive(self):
+        with pytest.raises(ValueError, match="rows_per_call"):
+            roofline_point(_DENSE, peak_flops=1e9, bandwidth=1e9,
+                           rows_per_call=0)
+
 
 class TestReport:
     def test_report_shape(self):
@@ -91,6 +124,19 @@ class TestReport:
         other = rep["per_network"][FULL_SUITE[1].name]
         assert "achieved_rps" not in other
 
+    def test_rows_per_call_per_network(self):
+        first, second = FULL_SUITE[0].name, FULL_SUITE[1].name
+        rep = roofline_report(FULL_SUITE, peak_flops=2e9, bandwidth=1e9,
+                              rows_per_call={first: 16})
+        assert rep["per_network"][first]["rows_per_call"] == 16
+        assert rep["per_network"][second]["rows_per_call"] == 1
+
+    def test_measured_rows_per_call_pools_engines(self):
+        a = {"x": {"completed": 30, "batches": 3},
+             "y": {"completed": 0, "batches": 0}}
+        b = {"x": {"completed": 10, "batches": 2}}
+        assert measured_rows_per_call(a, b) == {"x": 40 / 5}
+
     def test_calibration_shape_and_cache(self):
         cal = calibrate_host()
         assert cal["peak_flops"] > 0
@@ -98,3 +144,15 @@ class TestReport:
         assert cal["ridge_oi"] == pytest.approx(
             cal["peak_flops"] / cal["bandwidth_bytes_s"])
         assert calibrate_host() is cal
+
+
+class TestAotBenchWithinCeiling:
+    def test_no_network_above_its_ceiling(self):
+        # At batch 64 the weights are shared by 64 rows; charged once
+        # per row instead, paper-scale networks read up to 180%.
+        from repro.serve.aot import run_aot_bench
+        result = run_aot_bench(scale=1, batch_size=64, repeats=2,
+                               fuzz_batches=1)
+        for name, point in result["roofline"]["per_network"].items():
+            assert point["rows_per_call"] == 64
+            assert 0 < point["pct_of_ceiling"] <= 100.0, name

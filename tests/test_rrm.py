@@ -6,8 +6,9 @@ import pytest
 from repro.nn import ConvSpec, DenseSpec, LstmSpec
 from repro.rrm import (FULL_SUITE, InterferenceChannel, MLPTrainer,
                        NETWORK_ORDER, SpectrumAccessEnv, make_wmmse_dataset,
-                       suite, sum_rate, train_power_allocator,
+                       sum_rate, train_power_allocator,
                        wmmse_power_allocation)
+from repro.rrm.networks import suite
 
 
 class TestSuiteDefinitions:
@@ -53,6 +54,19 @@ class TestSuiteDefinitions:
             for spec in net.layers:
                 if isinstance(spec, LstmSpec):
                     assert spec.m % 2 == 0 and spec.n % 2 == 0
+
+
+class TestSuiteModule:
+    def test_submodule_keeps_its_name(self):
+        import importlib
+
+        import repro.rrm.suite
+        from repro.kernels import NetworkPlan
+        module = repro.rrm.suite
+        assert module is importlib.import_module("repro.rrm.suite")
+        assert module.NetworkPlan is NetworkPlan
+        net = suite(8)[0]
+        assert module.plan_for(net, "e") is module.plan_for(net, "e")
 
 
 class TestScaling:

@@ -6,6 +6,7 @@ import pytest
 from repro.kernels import LEVELS, NetworkPlan, NetworkProgram
 from repro.kernels.runner import FRAME_REGS
 from repro.nn import (ConvSpec, DenseSpec, LstmSpec, Network, init_params, quantize_params)
+from repro.rrm.networks import FULL_SUITE
 
 LEVEL_KEYS = ("a", "b", "c", "d", "e")
 
@@ -64,6 +65,20 @@ class TestEndToEnd:
         program = NetworkProgram(FEEDFORWARD, _params(FEEDFORWARD), "b")
         with pytest.raises(ValueError):
             program.step(np.zeros(3, dtype=np.int64))
+
+
+class TestInstructionBudget:
+    @pytest.mark.parametrize("engine", ("interp", "turbo"))
+    def test_budget_is_per_inference(self, engine):
+        # eisen2019 retires 1206 instructions per inference at level e,
+        # so 100 of them retire well past the budget in total; only a
+        # single run may not.
+        net = next(n for n in FULL_SUITE if n.name == "eisen2019")
+        program = NetworkProgram(net, _params(net), "e",
+                                 max_instrs=50_000, engine=engine)
+        for x in _inputs(net, 100):
+            program.step(x)
+        assert program.cpu.instret == 100 * 1206
 
 
 class TestPlanning:

@@ -129,21 +129,6 @@ class TestStateMachine:
         clock.advance(1.1)
         assert breaker.allow_request()  # 1s backoff again, not 4s
 
-    def test_force_open_indefinitely(self):
-        breaker, clock, _ = _breaker()
-        breaker.force_open()
-        assert breaker.state == BreakerState.OPEN
-        clock.advance(1e9)
-        assert not breaker.allow_request()
-
-    def test_force_open_bounded(self):
-        breaker, clock, _ = _breaker()
-        breaker.force_open(duration_s=5.0)
-        clock.advance(4.9)
-        assert not breaker.allow_request()
-        clock.advance(0.2)
-        assert breaker.allow_request()
-
     def test_reset_restores_pristine_closed(self):
         breaker, clock, _ = _breaker()
         _trip(breaker)

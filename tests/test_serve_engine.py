@@ -1,5 +1,7 @@
 """Inference engine behaviour: batching, deadlines, shedding, metrics."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -71,16 +73,19 @@ class TestBatching:
             assert np.array_equal(out, expected)
 
     def test_pressure_skips_linger(self):
-        # With pressure_depth=0 every dispatch skips the linger; the
-        # backlog must still fully drain.
-        engine = _engine(pressure_depth=0, max_linger_s=0.5)
+        # A backlog of whole batches is dispatched at once, never held
+        # for the (here very long) linger.
+        engine = _engine(max_linger_s=5.0)
         name = "naparstek2019"
         requests = [engine.submit(name, _input(BY_NAME[name], i))
-                    for i in range(10)]
+                    for i in range(16)]
+        started = time.monotonic()
         with engine:
             for request in requests:
                 assert request.wait(timeout=5.0)
+            assert time.monotonic() - started < 2.5
         assert all(r.ok for r in requests)
+        assert engine.metrics.batch_sizes == {8: 2}
 
 
 class TestDeadlinesAndShedding:

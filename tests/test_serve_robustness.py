@@ -1,6 +1,7 @@
-"""Fault tolerance end to end: bisect isolation, breakers, watchdog,
+"""Fault tolerance end to end: bisect isolation, breakers, worker death,
 weight-integrity guards (the acceptance scenarios from the robustness PR)."""
 
+import threading
 import time
 
 import numpy as np
@@ -190,49 +191,46 @@ class TestWeightIntegrity:
         assert engine.registry.verify(entry)  # corruption went unrepaired
 
 
-class TestWatchdog:
-    def test_worker_kill_restart_restores_service(self):
+class TestWorkerDeath:
+    def test_kill_fails_only_its_batch(self):
         victim, bystander = "sun2017", "wang2018"
         engine = _engine(
-            [FaultSpec(kind="kill", network=victim, start=0, stop=1)],
-            watchdog_interval_s=0.01)
+            [FaultSpec(kind="kill", network=victim, start=0, stop=1)])
         killed = engine.submit(victim, _input(BY_NAME[victim]))
         others = [engine.submit(bystander, _input(BY_NAME[bystander], i))
                   for i in range(3)]
+        before = set(threading.enumerate())
         with engine:
-            # The stranded in-flight request is failed by the watchdog.
+            dispatcher = engine._thread
             assert killed.wait(timeout=10.0)
             assert killed.status == RequestStatus.FAILED
             assert "died" in killed.error
             # Other networks never noticed.
             _wait_all(others)
             assert all(r.ok for r in others)
-            # The restarted worker serves the victim network again.
+            # The same dispatcher serves the victim network again.
             revived = engine.submit(victim, _input(BY_NAME[victim], 5))
             assert revived.wait(timeout=10.0)
             assert revived.ok
-        net = engine.metrics.network(victim)
-        assert net.worker_restarts.value == 1
-        assert engine.metrics.network(bystander).worker_restarts.value == 0
+            assert engine._thread is dispatcher and dispatcher.is_alive()
+            assert set(threading.enumerate()) - before == {dispatcher}
+        assert engine.metrics.network(victim).failed.value == 1
+        assert engine.metrics.network(bystander).failed.value == 0
 
-    def test_restart_budget_exhausted_forces_breaker_open(self):
+    def test_kill_opens_breaker_at_threshold_one(self):
         name = "eisen2019"
         engine = _engine(
             [FaultSpec(kind="kill", network=name, start=0, stop=1)],
-            watchdog_interval_s=0.01, max_worker_restarts=0)
+            breaker_failure_threshold=1, breaker_backoff_s=30.0,
+            breaker_backoff_max_s=30.0)
         requests = [engine.submit(name, _input(BY_NAME[name], i))
                     for i in range(3)]
         with engine:
             _wait_all(requests)
             assert all(r.status == RequestStatus.FAILED for r in requests)
-            deadline = time.monotonic() + 5.0
-            while (engine.breakers[name].state != "open"
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
             assert engine.breakers[name].state == "open"
             shed = engine.submit(name, _input(BY_NAME[name], 9))
             assert shed.status == RequestStatus.REJECTED_UNAVAILABLE
-        assert engine.metrics.network(name).worker_restarts.value == 0
 
 
 class TestRegistryFailureGuard:

@@ -217,6 +217,34 @@ class TestErrors:
         assert ref.instret == limit + 1
         assert tur.instret > limit
 
+    def test_budget_is_per_run(self):
+        # Each run of 1000 loop trips retires 2004 instructions, well
+        # inside the budget; ten runs retire four times the budget in
+        # total.  A run past the budget still raises, and instret
+        # counts its overrun on top of the earlier runs.
+        src = """
+            li a1, 0x100
+            lw s5, 0(a1)
+            li s4, 0
+        top:
+            addi s4, s4, 1
+            blt s4, s5, top
+            ebreak
+        """
+        limit = 5_000
+        ref, tur = _pair(src, max_instrs=limit)
+        for cpu in (ref, tur):
+            cpu.memory.store_word(0x100, 1000)
+            for _ in range(10):
+                cpu.run()
+            assert cpu.instret == 10 * 2004
+            cpu.memory.store_word(0x100, 100_000)
+            with pytest.raises(ExecutionLimitExceeded):
+                cpu.run()
+        assert tur.turbo_stats["vector_iters"] > 0
+        assert ref.instret == 10 * 2004 + limit + 1
+        assert tur.instret > 10 * 2004 + limit
+
     def test_wild_address_raises_memory_error(self):
         src = """
             li a1, 0x7f000000
