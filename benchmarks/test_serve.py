@@ -24,25 +24,21 @@ def test_serve_bench_artifact(save_artifact, save_json):
     assert result["mean_batch_size"] > 1.0
 
 
-def test_batched_model_step_throughput(benchmark):
-    """Microbenchmark: batched golden-model steps per second (batch 16)."""
+def test_batched_model_infer_throughput(benchmark):
+    """Microbenchmark: compiled batched inferences per second (batch 16)."""
     import numpy as np
 
     from repro.nn.network import init_params, quantize_params
     from repro.rrm.networks import suite
-    from repro.serve.batched import BatchedQuantModel
+    from repro.serve.aot import AotBatchedModel
 
     network = next(n for n in suite(4) if n.name == "sun2017")
     params = quantize_params(
         init_params(network, np.random.default_rng(0)))
-    model = BatchedQuantModel(network, params)
+    model = AotBatchedModel(network, params)
     rng = np.random.default_rng(1)
     x = np.asarray(rng.uniform(-1, 1, (16, network.input_size)) * 4096,
                    dtype=np.int64)
 
-    def run():
-        model.reset(16)
-        return model.step(x)
-
-    out = benchmark(run)
+    out = benchmark(model.infer, x)
     assert out.shape == (16, network.output_size)

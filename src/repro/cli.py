@@ -275,7 +275,6 @@ def _cmd_serve_bench(args) -> int:
             out_path=args.out,
             traffic=_traffic_model(args),
             n_tenants=args.tenants,
-            backend=args.backend,
             stop_event=stop.event,
             dashboard_port=args.dashboard,
         )
@@ -308,7 +307,6 @@ def _cmd_cluster_bench(args) -> int:
             n_tenants=args.tenants,
             out_path=args.out,
             trace_out=args.trace_out,
-            backend=args.backend,
             stop_event=stop.event,
             dashboard_port=args.dashboard,
         )
@@ -411,8 +409,7 @@ def _cmd_dashboard(args) -> int:
     from .serve.shutdown import GracefulShutdown
 
     networks = suite(args.scale)
-    engine_config = EngineConfig(level=args.level, seed=args.seed,
-                                 backend=args.backend)
+    engine_config = EngineConfig(level=args.level, seed=args.seed)
     engine = None
     cluster = None
     if args.cluster:
@@ -433,7 +430,7 @@ def _cmd_dashboard(args) -> int:
         engine.start()
         target = engine
         mode = "engine"
-    set_build_info(engine="dashboard", backend=args.backend)
+    set_build_info(engine="dashboard")
     dash = DashboardServer(engine=engine, cluster=cluster,
                            host=args.host, port=args.port,
                            auth_token=args.token)
@@ -711,10 +708,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--workers", default=None,
                          help="with --cluster: comma-separated worker "
                               "counts (default: 1,2,4,8)")
-    p_serve.add_argument("--backend", choices=["aot", "batched"],
-                         default="aot",
-                         help="serving backend: compiled AOT plans or "
-                              "the batched interpreter (default: aot)")
     p_serve.add_argument("--dashboard", type=int, default=None,
                          metavar="PORT",
                          help="serve the live web control plane on "
@@ -724,8 +717,8 @@ def main(argv=None) -> int:
 
     p_aot = sub.add_parser(
         "aot-bench",
-        help="model-level AOT-vs-batched throughput and bit-exactness "
-             "sweep with roofline report")
+        help="model-level compiled-plan throughput and bit-exactness "
+             "vs the scalar model, with roofline report")
     p_aot.add_argument("--level", choices=list("abcdef"), default="e")
     p_aot.add_argument("--scale", type=int, default=None,
                        help="suite down-scale factor (default: "
@@ -774,10 +767,6 @@ def main(argv=None) -> int:
     p_cluster.add_argument("--tenants", type=int, default=0,
                            help="multi-tenant mode: number of tenants "
                                 "(0 = uniform)")
-    p_cluster.add_argument("--backend", choices=["aot", "batched"],
-                           default="aot",
-                           help="serving backend inside every worker "
-                                "(default: aot)")
     p_cluster.add_argument("--seed", type=int, default=2020)
     p_cluster.add_argument("--out", default="BENCH_serve.json",
                            help="JSON results path ('' to skip writing)")
@@ -850,9 +839,6 @@ def main(argv=None) -> int:
     p_dash.add_argument("--scale", type=int, default=None,
                         help="suite down-scale factor (default: "
                              "REPRO_SCALE or 4)")
-    p_dash.add_argument("--backend", choices=["aot", "batched"],
-                        default="aot",
-                        help="serving backend (default: aot)")
     p_dash.add_argument("--cluster", action="store_true",
                         help="serve a process-sharded cluster instead "
                              "of a single in-process engine")

@@ -177,7 +177,7 @@ def run_cluster_bench(scale: int | None = None, level: str = "e",
                       n_tenants: int = 0,
                       out_path: str | None = None,
                       trace_out: str | None = None,
-                      stop_event=None, backend: str = "aot",
+                      stop_event=None,
                       dashboard_port: int | None = None) -> dict:
     """The ``cluster-bench`` experiment: a worker-count scaling curve.
 
@@ -191,8 +191,7 @@ def run_cluster_bench(scale: int | None = None, level: str = "e",
     networks = suite(scale)
     engine_config = EngineConfig(level=level,
                                  max_batch_size=max_batch_size,
-                                 max_linger_s=max_linger_s, seed=seed,
-                                 backend=backend)
+                                 max_linger_s=max_linger_s, seed=seed)
     tenant_info = None
     if n_tenants > 0:
         stream, tenant_info = make_tenant_stream(networks, n_requests,
@@ -214,7 +213,7 @@ def run_cluster_bench(scale: int | None = None, level: str = "e",
     trace_at = max(worker_counts) if trace_out else None
     from ..obs.web import bench_dashboard
     dashboard_ctx = bench_dashboard(dashboard_port, label="cluster-bench",
-                                    backend=backend, scale=scale)
+                                    scale=scale)
     with dashboard_ctx as dashboard:
         for workers in worker_counts:
             if stop_event is not None and stop_event.is_set():
@@ -287,9 +286,7 @@ def run_cluster_bench(scale: int | None = None, level: str = "e",
             "autoscale": autoscale,
             "traffic": (traffic or TrafficModel()).to_dict(),
             "n_tenants": n_tenants,
-            "backend": backend,
         },
-        "backend": backend,
         # Fleet capacity vs the host roofline: achieved per-network
         # req/s from the best cluster pass against the calibrated
         # single-host ceiling at each network's intensity.
@@ -471,8 +468,7 @@ def run_cluster_chaos_bench(scale: int | None = None, level: str = "e",
     probes = 0
     from ..obs.web import bench_dashboard
     with bench_dashboard(dashboard_port, cluster=cluster,
-                         label="chaos-bench --cluster",
-                         backend=engine_config.backend, scale=scale):
+                         label="chaos-bench --cluster", scale=scale):
         with cluster:
             run = _drive_cluster(cluster, stream, rate_rps, seed,
                                  expected, timeout_s, None,

@@ -191,9 +191,8 @@ class StoreBackedRegistry(ModelRegistry):
     """
 
     def __init__(self, store: SharedWeightStore, seed: int = 2020,
-                 mutable: bool = False, abft: bool = False,
-                 backend: str = "aot"):
-        super().__init__(seed=seed, abft=abft, backend=backend)
+                 mutable: bool = False, abft: bool = False):
+        super().__init__(seed=seed, abft=abft)
         self._store = store
         self._mutable = mutable
 

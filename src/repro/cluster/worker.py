@@ -173,8 +173,7 @@ def worker_main(spec: WorkerSpec, in_q, out_q) -> None:
         tracer = SpanTracer(process_name=f"repro.cluster/{spec.name}")
     registry = StoreBackedRegistry(store, seed=spec.config.seed,
                                    mutable=injector is not None,
-                                   abft=spec.config.abft,
-                                   backend=spec.config.backend)
+                                   abft=spec.config.abft)
     metrics = ServeMetrics()
     engine = InferenceEngine(networks=spec.networks, config=spec.config,
                              metrics=metrics, fault_injector=injector,

@@ -107,8 +107,8 @@ class FaultInjector:
         """Apply every active fault to one execution attempt.
 
         ``requests`` carry per-network ``.seq`` numbers; ``inputs`` is
-        the parallel list of normalized input arrays (mutated in place
-        by ``corrupt``).  May sleep (``latency``), mutate ``entry``'s
+        the stacked input batch, one row per request (rows mutated in
+        place by ``corrupt``).  May sleep (``latency``), mutate ``entry``'s
         parameter arrays (``bitflip``), or raise (``crash``/``poison``
         -> :class:`InjectedCrash`, ``kill`` ->
         :class:`InjectedWorkerDeath`).
@@ -205,17 +205,13 @@ class FaultInjector:
         """Arm one silent-data-corruption event on the entry's model.
 
         The corruption is a single-bit XOR into one element of the next
-        dense *accumulator* — compute state, not weights, so the CRC32
-        weight guard cannot see it.  It is applied by the model itself
-        on its next dense call and self-clears (transient upset); on a
-        plain :class:`BatchedQuantModel` it silently corrupts outputs,
-        on an :class:`~repro.resilience.abft.AbftBatchedModel` the
-        column checksum catches it with certainty (the flipped bit is
-        below bit 31, so the row sum changes mod 2**32).
+        dense/LSTM *accumulator* — compute state, not weights, so the
+        CRC32 weight guard cannot see it.  It is applied by the model
+        itself at its next accumulator and self-clears (transient
+        upset); without ABFT it silently corrupts outputs, with ABFT
+        the column checksum catches it with certainty (the flipped bit
+        is below bit 31, so the row sum changes mod 2**32).
         """
-        arm = getattr(entry.model, "arm_sdc", None)
-        if arm is None:
-            return
         rng = self._rng(spec_idx, seq)
         row_draw = int(rng.integers(1 << 30))
         col_draw = int(rng.integers(1 << 30))
@@ -226,7 +222,7 @@ class FaultInjector:
             c = _col % acc.shape[1]
             acc[r, c] = int(acc[r, c]) ^ (1 << _bit)
 
-        arm(_corrupt_acc)
+        entry.model.arm_sdc(_corrupt_acc)
         self._record("sdc", network, seq, bit=bit)
         self._count(metrics, network, "sdc")
 

@@ -505,16 +505,16 @@ REGISTRY = MetricsRegistry()
 _PROCESS_T0 = time.monotonic()
 
 _BUILD_LOCK = threading.Lock()
-_BUILD_INFO = {"version": "", "engine": "", "backend": ""}
+_BUILD_INFO = {"version": "", "engine": ""}
 
 
-def set_build_info(version: str | None = None, engine: str | None = None,
-                   backend: str | None = None) -> None:
+def set_build_info(version: str | None = None,
+                   engine: str | None = None) -> None:
     """Stamp what this process is running.
 
     Only the given fields change; repeated calls refine earlier ones
-    (e.g. the CLI stamps ``version`` at import and ``engine``/``backend``
-    once the subcommand has resolved them).  The values surface as
+    (e.g. the CLI stamps ``version`` at import and ``engine`` once the
+    subcommand has resolved it).  The values surface as
     labels on the ``repro_build_info`` info-gauge.
     """
     with _BUILD_LOCK:
@@ -522,12 +522,10 @@ def set_build_info(version: str | None = None, engine: str | None = None,
             _BUILD_INFO["version"] = str(version)
         if engine is not None:
             _BUILD_INFO["engine"] = str(engine)
-        if backend is not None:
-            _BUILD_INFO["backend"] = str(backend)
 
 
 def build_info() -> dict:
-    """Current ``{version, engine, backend}`` labels (a copy)."""
+    """Current ``{version, engine}`` labels (a copy)."""
     with _BUILD_LOCK:
         return dict(_BUILD_INFO)
 

@@ -316,7 +316,6 @@ class DashboardServer:
                 "breakers": engine.breaker_states(),
                 "plan_cache_entries": len(engine.registry),
                 "level": engine.config.level,
-                "backend": engine.config.backend,
                 "injector": {
                     "present": injector is not None,
                     "enabled": bool(getattr(injector, "enabled", False)),
@@ -516,8 +515,8 @@ class DashboardServer:
 
 @contextlib.contextmanager
 def bench_dashboard(port: int | None, engine=None, cluster=None,
-                    label: str = "", backend: str | None = None,
-                    scale: int | None = None, quiet: bool = False):
+                    label: str = "", scale: int | None = None,
+                    quiet: bool = False):
     """Run a bench with ``--dashboard PORT`` attached (no-op on None).
 
     Registers the engine/cluster metric collectors on the global
@@ -531,7 +530,7 @@ def bench_dashboard(port: int | None, engine=None, cluster=None,
         yield None
         return
     from ..metrics import set_build_info
-    set_build_info(engine=label, backend=backend)
+    set_build_info(engine=label)
     dashboard = DashboardServer(engine=engine, cluster=cluster, port=port,
                                 flame_scale=scale)
     dashboard.start()

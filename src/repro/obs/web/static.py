@@ -245,8 +245,7 @@ async function loadStatus() {
   const s = await (await fetch('/api/status')).json();
   const b = s.build;
   $('build').textContent =
-    `v${b.version || '?'} engine=${b.engine || '?'} ` +
-    `backend=${b.backend || '?'}`;
+    `v${b.version || '?'} engine=${b.engine || '?'}`;
   $('mode').textContent = 'mode=' + s.mode;
   const sel = $('flame-net');
   if (sel.options.length === 0) {

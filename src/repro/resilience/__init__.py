@@ -4,9 +4,10 @@ ABFT compute-integrity, IPC fault injection, and post-run invariants.
 The serving stack's earlier defenses (PR 2/6) stop at weight CRCs and
 crash detection.  This package closes the remaining gaps:
 
-- :mod:`repro.resilience.abft` — integer column-checksum verification
-  of the batched matvec hot path, detecting silent data corruption in
-  *compute/activations* (weight flips are the CRC guard's job).
+- :mod:`repro.resilience.abft` — the integer column-checksum identity
+  the compiled plan verifies on its matvec hot path, detecting silent
+  data corruption in *compute/activations* (weight flips are the CRC
+  guard's job), and the measurement of its cost.
 - :mod:`repro.resilience.detector` — phi-accrual failure detector over
   worker heartbeats, replacing fixed-interval liveness assumptions and
   penalizing suspect replicas in routing.
@@ -23,7 +24,7 @@ Modules here import from :mod:`repro.serve`; the serve/cluster layers
 import from here only lazily (function level) to avoid cycles.
 """
 
-from .abft import AbftBatchedModel, SdcDetected, measure_abft_overhead
+from .abft import SdcDetected, measure_abft_overhead
 from .channel import ChannelFaultLog, ChannelFaultPlan, FaultyChannel
 from .detector import PhiAccrualDetector
 from .hedging import HedgePolicy, RetryBudget
@@ -36,7 +37,6 @@ from .invariants import (
 )
 
 __all__ = [
-    "AbftBatchedModel",
     "ChannelFaultLog",
     "ChannelFaultPlan",
     "FaultyChannel",

@@ -1,8 +1,9 @@
 """ABFT compute-integrity for the batched matvec hot path.
 
 Algorithm-based fault tolerance via integer column checksums: for the
-dense accumulator ``acc = wrap32((bias << F) + x @ w.T)`` we verify,
-per batch row,
+dense accumulator ``acc = wrap32((bias << F) + x @ w.T)`` the compiled
+plan (:func:`repro.serve.aot._abft_check`, emitted when a model is
+built with ``abft=True``) verifies, per batch row,
 
     wrap32(sum_j acc[b, j]) == wrap32((sum_j bias[j]) << F
                                       + x[b] @ (sum_j w[j, :]))
@@ -19,9 +20,8 @@ sums): a corrupted weight corrupts both ``acc`` and the column-sum
 reference consistently and passes — by design, weight integrity is the
 CRC32 guard's job (:meth:`repro.serve.engine.ModelRegistry.verify`).
 
-Conv layers are excluded: they are absent from the RRM suite's hot
-path and their checksum algebra differs; coverage is the dense/LSTM
-matvec path that dominates paper workloads.
+Conv layers are excluded: their checksum algebra differs; coverage is
+the dense/LSTM matvec path that dominates paper workloads.
 """
 
 from __future__ import annotations
@@ -30,10 +30,7 @@ import time
 
 import numpy as np
 
-from ..nn.layers import wrap32
-from ..serve.batched import _FRAC, _sat16, BatchedQuantModel, dense_acc_batch
-
-__all__ = ["AbftBatchedModel", "SdcDetected", "measure_abft_overhead"]
+__all__ = ["SdcDetected", "measure_abft_overhead"]
 
 
 class SdcDetected(RuntimeError):
@@ -50,63 +47,22 @@ class SdcDetected(RuntimeError):
         self.rows = tuple(int(r) for r in rows)
 
 
-def verify_dense_acc(w, x, bias, acc) -> np.ndarray:
-    """Return the boolean per-row mismatch mask for a dense accumulator.
-
-    ``True`` marks a corrupted batch row.  Exact integer arithmetic:
-    a fault-free ``acc`` never produces a ``True``.
-    """
-    w = np.asarray(w, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    bias = np.asarray(bias, dtype=np.int64)
-    got = wrap32(np.asarray(acc, dtype=np.int64).sum(axis=1))
-    want = wrap32((int(bias.sum()) << _FRAC) + x @ w.sum(axis=0))
-    return got != want
-
-
-class AbftBatchedModel(BatchedQuantModel):
-    """Drop-in :class:`BatchedQuantModel` whose every dense matvec is
-    checksum-verified before the lossy shift/saturate.
-
-    On mismatch raises :class:`SdcDetected` naming the corrupted batch
-    rows; the engine treats that as a batch failure, quarantines and
-    repairs the model entry, and re-runs the batch.
-    """
-
-    def __init__(self, network, params_raw):
-        super().__init__(network, params_raw)
-        #: detections observed by this instance (for metrics/tests).
-        self.sdc_detections = 0
-
-    def _dense(self, w, x, bias):
-        acc = dense_acc_batch(w, x, bias)
-        corruptor = self._take_sdc()
-        if corruptor is not None:
-            corruptor(acc)
-        bad = verify_dense_acc(w, x, bias, acc)
-        if bad.any():
-            rows = np.flatnonzero(bad)
-            self.sdc_detections += len(rows)
-            raise SdcDetected(
-                f"ABFT column-checksum mismatch in {len(rows)} batch "
-                f"row(s): {rows.tolist()}", rows=rows)
-        return _sat16(acc >> _FRAC)
-
-
 def measure_abft_overhead(network, params_raw, batch_size: int = 16,
                           repeats: int = 5) -> float:
-    """Measured ABFT cost as a percentage of plain batched inference.
+    """Measured ABFT cost as a percentage of the served model.
 
-    Runs ``repeats`` timed inferences with and without verification on
-    identical inputs and returns ``100 * (t_abft / t_plain - 1)``
-    (clamped at 0 from below — timer noise on tiny networks can make
-    the checked run appear faster).
+    Times the compiled plan with and without the checksum
+    (:class:`repro.serve.aot.AotBatchedModel` with ``abft`` off and
+    on), best of ``repeats`` on identical inputs, and returns
+    ``100 * (t_abft / t_plain - 1)`` (clamped at 0 from below — timer
+    noise on tiny networks can make the checked run appear faster).
     """
+    from ..serve.aot import AotBatchedModel
     rng = np.random.default_rng(2020)
     x = rng.integers(-2048, 2048,
                      size=(batch_size, network.input_size), dtype=np.int64)
-    plain = BatchedQuantModel(network, params_raw)
-    checked = AbftBatchedModel(network, params_raw)
+    plain = AotBatchedModel(network, params_raw)
+    checked = AotBatchedModel(network, params_raw, abft=True)
     for model in (plain, checked):  # warm up caches / allocators
         model.infer(x)
 

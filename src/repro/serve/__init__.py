@@ -5,10 +5,12 @@ extended core"; this package answers "how do we serve many of them" —
 and "how do we keep serving them when the substrate misbehaves".  It
 layers a production-shaped runtime on top of the bit-exact golden model:
 
-* :mod:`repro.serve.batched` — :class:`BatchedQuantModel`, a vectorized
-  executor that runs dense/LSTM/conv layers over a leading batch axis
+* :mod:`repro.serve.aot` — :class:`~repro.serve.aot.AotBatchedModel`,
+  the batched model: each network compiled once into a fused numpy
+  callable that runs dense/LSTM/conv layers over a leading batch axis
   with the exact Q3.12 saturation semantics of
-  :class:`repro.nn.network.QuantModel` (bit-identical per sample).
+  :class:`repro.nn.network.QuantModel` (bit-identical per row), with
+  the ABFT column checksum as a compile flag.
 * :mod:`repro.serve.engine` — :class:`InferenceEngine`, per-network
   request queues served by one dispatcher thread (due-time order
   across networks; dynamic batching by max batch size and a max linger
@@ -41,7 +43,7 @@ Scaling this engine beyond one process — sharding, replica balancing,
 worker supervision and autoscaling — lives in :mod:`repro.cluster`.
 """
 
-from .batched import BatchedQuantModel
+from .aot import AotBatchedModel
 from .breaker import BreakerState, CircuitBreaker
 from .chaos import default_scenario, render_chaos_table, run_chaos_bench
 from .engine import (EngineConfig, InferenceEngine, ModelRegistry, Request,
@@ -52,7 +54,7 @@ from .metrics import Counter, Gauge, LatencyHistogram, ServeMetrics
 from .shutdown import GracefulShutdown
 
 __all__ = [
-    "BatchedQuantModel",
+    "AotBatchedModel",
     "BreakerState",
     "CircuitBreaker",
     "EngineConfig",

@@ -1,8 +1,6 @@
 """Ahead-of-time plan compiler: one fused batched callable per network.
 
-:class:`~repro.serve.batched.BatchedQuantModel` re-dispatches on layer
-specs, re-derives shifted biases and walks the segment-evaluated PLA
-(:func:`repro.fixedpoint.lut.pla_apply`) on every step.  This module
+:class:`AotBatchedModel` is the serving stack's one batched model.  It
 lowers a ``(network, level)`` plan **once**, at registry-build time,
 into a single generated Python function with no per-layer dispatch:
 
@@ -19,35 +17,35 @@ into a single generated Python function with no per-layer dispatch:
   across batches (`out=` forms throughout; the only per-call
   allocation is the returned output copy).
 
+Every row equals an independent scalar
+:class:`repro.nn.network.QuantModel` run, the one oracle
+(``tests/test_serve_aot.py`` and ``tests/test_serve_batched.py``).
+
 Exactness of the float64 matmul
 -------------------------------
 The scalar model accumulates ``acc = sum(w_ij * x_j) + (b_i << 12)`` in
-exact integer arithmetic before ``wrap32``.  With ``|x| <= 32767``
-(enforced: wider inputs take the bit-exact batched fallback) and
-``|w| <= 32767`` (guaranteed by Q3.12 quantization), every product is
-below ``2**30`` and every partial sum is bounded by
-``n_in * 32767**2 < 2**53`` for any realistic layer width — so each is
-an integer exactly representable in IEEE float64, *regardless of the
+exact integer arithmetic before ``wrap32``.  Inputs are int16, as on
+the paper's 16-bit datapath (:meth:`AotBatchedModel.infer` rejects
+anything wider), weights are int16 by Q3.12 quantization, and every
+value fed back between layers is saturated to int16.  So every product
+is at most ``2**30`` in magnitude and every partial sum is bounded by
+``n_in * 2**30 < 2**53`` for any realistic layer width — each is an
+integer exactly representable in IEEE float64, *regardless of the
 summation order BLAS picks*.  The float64 GEMM therefore returns the
 exact integer sum, the cast back to int64 is exact, and ``wrap32`` /
 shift / saturate proceed bit-identically to the integer path — the
-same prove-exact-then-vectorize contract as the turbo ISS engine,
-asserted by the differential and fuzz tests in
-``tests/test_serve_aot.py``.
+same prove-exact-then-vectorize contract as the turbo ISS engine.
 
-ABFT interop: the compiled variant used when the registry serves with
-``abft=True`` emits the integer column-checksum verification of
-:mod:`repro.resilience.abft` against the fused accumulator of every
-dense/LSTM matvec and raises the same :class:`SdcDetected`, so the
-engine's quarantine → repair → rerun path is backend-agnostic.  The
-``arm_sdc`` fault-injection hook is honoured by both variants at the
-same point of the datapath (the wrapped 32-bit accumulator, before the
-lossy shift).
+ABFT: compiled with ``abft=True``, the plan verifies the integer
+column checksum of every dense/LSTM accumulator (:func:`_abft_check`)
+and raises :class:`repro.resilience.abft.SdcDetected`, which the
+engine answers with quarantine → repair → rerun.  The ``arm_sdc``
+fault-injection hook fires at the same point of the datapath in both
+plans (the wrapped 32-bit accumulator, before the lossy shift).
 
-Anything the compiler cannot prove it can lower (an unknown layer spec
-or activation) raises :class:`AotUnsupported`, and
-:func:`build_serving_model` falls back to the batched interpreter —
-callers never see a half-compiled model.
+A construct the compiler cannot lower (an unknown layer spec or
+activation) raises at build time: callers never see a half-compiled
+model.
 """
 
 from __future__ import annotations
@@ -59,21 +57,20 @@ import numpy as np
 
 from ..fixedpoint.activations import SIG_TABLE, TANH_TABLE
 from ..fixedpoint.lut import pla_apply
-from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network
+from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network, QuantModel
 from ..obs.metrics import REGISTRY
-from .batched import BatchedQuantModel
 
-__all__ = ["AotUnsupported", "AotPlan", "compile_plan",
-           "AotBatchedModel", "AotAbftModel", "build_serving_model",
-           "TANH_LUT", "SIG_LUT", "run_aot_bench", "render_aot_table"]
+__all__ = ["AotPlan", "compile_plan", "AotBatchedModel",
+           "build_serving_model", "TANH_LUT", "SIG_LUT", "run_aot_bench",
+           "render_aot_table"]
 
 _FRAC = 12
 
-#: Compile / plan-cache / fallback events on the unified ``repro.obs``
-#: registry, mirroring ``iss_turbo_events_total``.
+#: Compile and plan-cache events on the unified ``repro.obs`` registry,
+#: mirroring ``iss_turbo_events_total``.
 _AOT_EVENTS = REGISTRY.counter(
     "serve_aot_events_total",
-    "AOT plan-compiler compile, plan-cache and fallback events.",
+    "AOT plan-compiler compile and plan-cache events.",
     ("event",))
 
 
@@ -87,10 +84,6 @@ TANH_LUT = _full_domain_lut(TANH_TABLE)
 SIG_LUT = _full_domain_lut(SIG_TABLE)
 
 
-class AotUnsupported(Exception):
-    """The plan contains a construct the AOT compiler cannot lower."""
-
-
 def _sdc_hook(model, acc) -> None:
     """Apply a pending injected accumulator corruption (rare path)."""
     model._take_sdc()(acc)
@@ -99,11 +92,13 @@ def _sdc_hook(model, acc) -> None:
 def _abft_check(model, acc, x, colsum, bias_sum) -> None:
     """Column-checksum verification of one fused accumulator.
 
-    Same integer identity as :func:`repro.resilience.abft.
-    verify_dense_acc`, against weights frozen at compile time (compile
-    happens on pristine parameters, and ``reload_params`` re-derives
-    them whenever the registry repairs an entry, so the reference never
-    drifts from what the GEMM actually used).
+    For ``acc = wrap32((b << 12) + x @ w.T)`` every fault-free row
+    satisfies ``wrap32(sum(acc[r])) == wrap32((sum(b) << 12) + x[r] @
+    colsum)`` with ``colsum = w.sum(axis=0)``, exactly (the identity is
+    derived in :mod:`repro.resilience.abft`).  ``colsum`` and
+    ``bias_sum`` are operands like the weights: ``reload_params``
+    re-derives them whenever the registry repairs an entry, so the
+    reference never drifts from what the GEMM actually used.
     """
     from ..nn.layers import wrap32
     from ..resilience.abft import SdcDetected
@@ -184,8 +179,7 @@ class _Compiler:
     # -- layers --------------------------------------------------------
     def dense(self, k: int, spec: DenseSpec) -> None:
         if spec.activation not in (None, "relu", "tanh", "sig"):
-            raise AotUnsupported(
-                f"dense activation {spec.activation!r}")
+            raise ValueError(f"unknown activation {spec.activation!r}")
         m, n = spec.n_in, spec.n_out
         self.weight(f"WF{k}", lambda p, i=k: np.ascontiguousarray(
             np.asarray(p[i]["w"], dtype=np.int64).T, dtype=np.float64))
@@ -264,8 +258,8 @@ class _Compiler:
         self.emit(f"V = H{k}")
 
     def conv(self, k: int, spec: ConvSpec) -> None:
-        # Exact int64 einsum (conv nets sit outside the suite hot path;
-        # the accumulator identity to the batched model is immediate).
+        # im2col + float64 GEMM, exact by the same bound as dense.  No
+        # SDC or ABFT hook: the conv checksum algebra differs.
         ho, wo = spec.h_out, spec.w_out
         kk, pix, win = spec.k, ho * wo, spec.cin * spec.k ** 2
         self.weight(f"WCF{k}", lambda p, i=k, c=spec.cout:
@@ -296,7 +290,7 @@ class _Compiler:
         self._wrap32(f"AC{k}", f"TC{k}")
         self.emit(f"np.right_shift(AC{k}, 12, out=AC{k})")
         self.emit(f"np.clip(AC{k}, -32768, 32767, out=AC{k})")
-        # back to the batched model's channel-major (B, cout*ho*wo).
+        # back to the scalar model's channel-major (B, cout*ho*wo).
         self.emit(f"np.copyto(OC{k}, AC{k}.transpose(0, 2, 1))")
         self.emit(f"V = OC{k}.reshape(B, -1)")
 
@@ -313,7 +307,8 @@ class _Compiler:
             elif isinstance(spec, ConvSpec):
                 self.conv(k, spec)
             else:
-                raise AotUnsupported(f"layer spec {type(spec).__name__}")
+                raise TypeError(
+                    f"cannot compile layer spec {type(spec).__name__}")
         body = self.lines
         self.lines = []
         # Prologue: bind operands/buffers to locals, zero LSTM state.
@@ -360,29 +355,32 @@ def compile_plan(network: Network, abft: bool = False) -> AotPlan:
     return plan
 
 
-class AotBatchedModel(BatchedQuantModel):
-    """Drop-in :class:`BatchedQuantModel` running the compiled plan.
+class AotBatchedModel:
+    """The batched serving model: one network's compiled plan.
 
-    ``infer`` executes the fused pass; ``step``/``forward``/``reset``
-    are inherited (interpreted) for the rare callers that step
-    manually.  The static per-inference cycle estimate is carried as
+    :meth:`infer` runs one full inference per row of a batch; with
+    ``abft`` the plan verifies every dense/LSTM accumulator and raises
+    :class:`repro.resilience.abft.SdcDetected` on a mismatch.  The
+    static per-inference cycle estimate is carried as
     :attr:`cycles_per_request` and is cycle-exact vs
     :func:`repro.perfmodel.predict_network_cycles` (asserted by
     ``tests/test_serve_aot.py``).
     """
 
-    backend_name = "aot"
-    _abft = False
-
     def __init__(self, network: Network, params_raw: list,
-                 level: str = "e"):
-        super().__init__(network, params_raw)
+                 level: str = "e", abft: bool = False):
+        self.network = network
+        #: The quantized parameter arrays (shared with the registry's
+        #: reference model; repairs restore them in place).
+        self.params = params_raw
         self.level = level
-        self._plan = compile_plan(network, abft=self._abft)
+        self._plan = compile_plan(network, abft)
         self._weights: dict = {}
         self.reload_params()
         self._buffers: dict[int, dict] = {}
-        self._wide_model = None
+        self._sdc_corruptor = None
+        #: Batch rows whose ABFT checksum failed (always 0 without ABFT).
+        self.sdc_detections = 0
         from ..rrm.suite import network_trace
         #: Static whole-inference cycle count of the generated kernel
         #: (== ``predict_network_cycles(network, level).cycles``).
@@ -399,6 +397,28 @@ class AotBatchedModel(BatchedQuantModel):
         for name, builder in self._plan.weight_builders:
             self._weights[name] = builder(self.params)
 
+    def arm_sdc(self, corruptor) -> None:
+        """Arm a one-shot accumulator corruption for fault injection.
+
+        ``corruptor(acc)`` mutates the next dense/LSTM accumulator in
+        place (a single-bit flip, typically).  Without ABFT the
+        corruption reaches the outputs silently — this is what an
+        undetected SDC looks like; with ABFT the checksum catches it.
+        Arming twice before the next accumulator chains the corruptors.
+        """
+        prev = self._sdc_corruptor
+        if prev is None:
+            self._sdc_corruptor = corruptor
+        else:
+            def chained(acc, _first=prev, _second=corruptor):
+                _first(acc)
+                _second(acc)
+            self._sdc_corruptor = chained
+
+    def _take_sdc(self):
+        corruptor, self._sdc_corruptor = self._sdc_corruptor, None
+        return corruptor
+
     def _buffers_for(self, batch: int) -> dict:
         buf = self._buffers.get(batch)
         if buf is None:
@@ -407,80 +427,44 @@ class AotBatchedModel(BatchedQuantModel):
             self._buffers[batch] = buf
         return buf
 
-    def _wide_fallback(self) -> BatchedQuantModel:
-        """Bit-exact escape hatch for inputs outside int16 range,
-        where the float64-GEMM exactness argument does not hold."""
-        if self._wide_model is None:
-            if self._abft:
-                from ..resilience.abft import AbftBatchedModel
-                self._wide_model = AbftBatchedModel(self.network,
-                                                    self.params)
-            else:
-                self._wide_model = BatchedQuantModel(self.network,
-                                                     self.params)
-        if self._sdc_corruptor is not None:
-            self._wide_model.arm_sdc(self._take_sdc())
-        return self._wide_model
-
     def infer(self, x_batch) -> np.ndarray:
+        """One full inference per row, from zero state.
+
+        Args:
+            x_batch: ``(B, T, in_size)`` int16 values with ``B >= 1``
+                and ``T == network.timesteps``, or ``(B, in_size)`` to
+                feed the same input at every timestep.
+
+        Returns:
+            ``(B, out_size)`` raw outputs of the final timestep.
+
+        Raises:
+            ValueError: on any other shape, or on a value outside
+                [-32768, 32767] (where the float64-GEMM exactness
+                argument stops holding).
+        """
         x = np.asarray(x_batch, dtype=np.int64)
-        timesteps = self.network.timesteps
-        if x.ndim == 3 and x.shape[1] != timesteps:
+        timesteps, n_in = self.network.timesteps, self.network.input_size
+        if x.shape[1:] not in ((timesteps, n_in), (n_in,)) or not len(x):
             raise ValueError(
-                f"expected (B, {timesteps}, "
-                f"{self.network.input_size}) inputs, got {x.shape}")
-        if x.ndim not in (2, 3):
-            raise ValueError(
-                f"expected (B, {timesteps}, "
-                f"{self.network.input_size}) inputs, got {x.shape}")
-        if x.size and int(np.abs(x).max()) > 32767:
-            return self._wide_fallback().infer(x)
+                f"expected (B, {timesteps}, {n_in}) or (B, {n_in}) "
+                f"inputs with B >= 1, got {x.shape}")
+        if x.min() < -32768 or x.max() > 32767:
+            raise ValueError("inputs must lie in the int16 range "
+                             "[-32768, 32767]")
         return self._plan.fn(x, timesteps, self._weights,
                              self._buffers_for(x.shape[0]), self)
 
 
-class AotAbftModel(AotBatchedModel):
-    """AOT model with the column-checksum hook fused into every dense
-    and LSTM accumulator (raises :class:`repro.resilience.abft.
-    SdcDetected` exactly like :class:`AbftBatchedModel`)."""
-
-    backend_name = "aot"
-    _abft = True
-
-    def __init__(self, network: Network, params_raw: list,
-                 level: str = "e"):
-        super().__init__(network, params_raw, level=level)
-        #: Detections observed by this instance (metrics/tests parity
-        #: with :class:`repro.resilience.abft.AbftBatchedModel`).
-        self.sdc_detections = 0
-
-
 def build_serving_model(network: Network, params_raw: list,
-                        level: str = "e", abft: bool = False,
-                        backend: str = "aot"):
-    """Build the serving model for one registry entry.
-
-    ``backend="aot"`` compiles the fused plan, falling back to the
-    batched interpreter on :class:`AotUnsupported` (counted on the
-    ``serve_aot_events_total{event="fallback"}`` metric);
-    ``backend="batched"`` always builds the interpreter.
-    """
-    if backend not in ("aot", "batched"):
-        raise ValueError(f"unknown serving backend {backend!r}")
-    if backend == "aot":
-        cls = AotAbftModel if abft else AotBatchedModel
-        try:
-            return cls(network, params_raw, level=level)
-        except AotUnsupported:
-            _AOT_EVENTS.inc(event="fallback")
-    if abft:
-        from ..resilience.abft import AbftBatchedModel
-        return AbftBatchedModel(network, params_raw)
-    return BatchedQuantModel(network, params_raw)
+                        level: str = "e",
+                        abft: bool = False) -> AotBatchedModel:
+    """Build the serving model for one registry entry."""
+    return AotBatchedModel(network, params_raw, level=level, abft=abft)
 
 
 # ----------------------------------------------------------------------
-# aot-bench: direct model-level throughput, AOT vs batched interpreter.
+# aot-bench: direct model-level throughput against the scalar oracle.
 # ----------------------------------------------------------------------
 def _bench_model(model, x, repeats: int) -> float:
     """Best-of-``repeats`` wall time for one ``infer`` call."""
@@ -492,17 +476,33 @@ def _bench_model(model, x, repeats: int) -> float:
     return best
 
 
+def _scalar_pass(network: Network, params_raw: list, rows) -> tuple:
+    """Every row through the scalar :class:`QuantModel`: the stacked
+    outputs and the best per-row wall time."""
+    model = QuantModel(network, params_raw)
+    outputs, best = [], float("inf")
+    for row in rows:
+        t0 = time.perf_counter()
+        model.reset()
+        outputs.append(model.forward(row))
+        best = min(best, time.perf_counter() - t0)
+    return np.stack(outputs), best
+
+
 def run_aot_bench(scale: int | None = None, level: str = "e",
                   batch_size: int = 16, repeats: int = 5,
                   fuzz_batches: int = 3, seed: int = 2020,
                   out_path: str | None = None) -> dict:
-    """Model-level AOT vs batched comparison over the whole suite.
+    """Model-level throughput and exactness over the whole suite.
 
     The open-loop serve bench measures the *system* under an offered
-    load; this bench isolates the backend itself: identical parameters,
-    identical input batches, best-of-N timing, plus a randomized
-    bit-exactness sweep per network.  Results feed the roofline's
-    achieved-vs-ceiling column.
+    load; this bench isolates the compiled model.  One scalar
+    :class:`QuantModel` pass over ``fuzz_batches`` batches of
+    full-range int16 rows per network gives both numbers: the rows the
+    compiled plan must match (``bit_exact``) and the scalar model's
+    best per-row time, against which the plan's best-of-``repeats``
+    batch time gives ``speedup_vs_scalar``.  Results feed the
+    roofline's achieved-vs-ceiling column.
     """
     import json
     import os
@@ -515,38 +515,33 @@ def run_aot_bench(scale: int | None = None, level: str = "e",
     rng = np.random.default_rng(seed)
     per_network = {}
     bit_exact = True
-    total_aot = total_batched = 0.0
+    total_aot = total_scalar_row = 0.0
     for network in networks:
         params = quantize_params(
             init_params(network, np.random.default_rng(seed)))
-        batched = BatchedQuantModel(network, params)
         aot = build_serving_model(network, params, level=level)
-        x = rng.integers(-4096, 4096,
-                         size=(batch_size, network.timesteps,
-                               network.input_size), dtype=np.int64)
-        exact = True
-        for _ in range(fuzz_batches):
-            xf = rng.integers(-32768, 32768,
-                              size=(batch_size, network.timesteps,
-                                    network.input_size), dtype=np.int64)
-            if not np.array_equal(aot.infer(xf), batched.infer(xf)):
-                exact = False
+        shape = (network.timesteps, network.input_size)
+        x = rng.integers(-4096, 4096, size=(batch_size,) + shape,
+                         dtype=np.int64)
+        fuzz = rng.integers(-32768, 32768,
+                            size=(fuzz_batches * batch_size,) + shape,
+                            dtype=np.int64)
+        want, t_row = _scalar_pass(network, params, fuzz)
+        got = np.concatenate([aot.infer(fuzz[i:i + batch_size])
+                              for i in range(0, len(fuzz), batch_size)])
+        exact = bool(np.array_equal(got, want))
         bit_exact = bit_exact and exact
         t_aot = _bench_model(aot, x, repeats)
-        t_batched = _bench_model(batched, x, repeats)
         total_aot += t_aot
-        total_batched += t_batched
+        total_scalar_row += t_row
         per_network[network.name] = {
-            "backend": getattr(aot, "backend_name", "batched"),
             "bit_exact": exact,
             "batch_size": batch_size,
             "aot_s_per_batch": t_aot,
-            "batched_s_per_batch": t_batched,
-            "aot_rps": batch_size / t_aot if t_aot > 0 else 0.0,
-            "batched_rps": batch_size / t_batched
-            if t_batched > 0 else 0.0,
-            "speedup_vs_batched": t_batched / t_aot
-            if t_aot > 0 else 0.0,
+            "scalar_s_per_row": t_row,
+            "aot_rps": batch_size / t_aot,
+            "scalar_rps": 1.0 / t_row,
+            "speedup_vs_scalar": t_row * batch_size / t_aot,
         }
     achieved = {name: row["aot_rps"] for name, row in per_network.items()}
     result = {
@@ -554,16 +549,12 @@ def run_aot_bench(scale: int | None = None, level: str = "e",
         "config": {"scale": scale, "level": level,
                    "batch_size": batch_size, "repeats": repeats,
                    "fuzz_batches": fuzz_batches, "seed": seed},
-        "backend": "aot",
         "bit_exact": bit_exact,
         "per_network": per_network,
         "total": {
-            "aot_rps": (len(networks) * batch_size / total_aot
-                        if total_aot > 0 else 0.0),
-            "batched_rps": (len(networks) * batch_size / total_batched
-                            if total_batched > 0 else 0.0),
-            "speedup_vs_batched": (total_batched / total_aot
-                                   if total_aot > 0 else 0.0),
+            "aot_rps": len(networks) * batch_size / total_aot,
+            "scalar_rps": len(networks) / total_scalar_row,
+            "speedup_vs_scalar": total_scalar_row * batch_size / total_aot,
         },
         "roofline": roofline_report(networks, achieved_rps=achieved,
                                     rows_per_call=batch_size),
@@ -581,26 +572,26 @@ def render_aot_table(result: dict) -> str:
     """Human-readable table for one :func:`run_aot_bench` result."""
     config = result["config"]
     lines = [
-        "aot-bench: compiled plans vs batched interpreter "
+        "aot-bench: compiled plans vs the scalar QuantModel "
         f"(level {config['level']}, batch {config['batch_size']}, "
         f"best of {config['repeats']})",
         "",
     ]
     header = (f"{'network':<15}{'exact':>6}{'aot rps':>12}"
-              f"{'batched rps':>13}{'speedup':>9}")
+              f"{'scalar rps':>12}{'speedup':>9}")
     lines.append(header)
     lines.append("-" * len(header))
     for name, row in result["per_network"].items():
         lines.append(
             f"{name:<15}{'yes' if row['bit_exact'] else 'NO':>6}"
-            f"{row['aot_rps']:>12.0f}{row['batched_rps']:>13.0f}"
-            f"{row['speedup_vs_batched']:>8.1f}x")
+            f"{row['aot_rps']:>12.0f}{row['scalar_rps']:>12.0f}"
+            f"{row['speedup_vs_scalar']:>8.1f}x")
     lines.append("-" * len(header))
     total = result["total"]
     lines.append(
         f"{'TOTAL':<15}{'yes' if result['bit_exact'] else 'NO':>6}"
-        f"{total['aot_rps']:>12.0f}{total['batched_rps']:>13.0f}"
-        f"{total['speedup_vs_batched']:>8.1f}x")
+        f"{total['aot_rps']:>12.0f}{total['scalar_rps']:>12.0f}"
+        f"{total['speedup_vs_scalar']:>8.1f}x")
     host = result["roofline"]["host"]
     lines.append("")
     lines.append(

@@ -226,7 +226,6 @@ def run_chaos_bench(scale: int | None = None, level: str = "e",
 
     from ..obs.web import bench_dashboard
     with bench_dashboard(dashboard_port, label="chaos-bench",
-                         backend=config.backend,
                          scale=scale) as dashboard:
         baseline = _drive(networks, config, stream, rate_rps, seed,
                           expected, stop_event=stop_event,

@@ -24,6 +24,10 @@ Overload behaviour degrades gracefully rather than collapsing:
 * requests whose deadline has already passed are rejected at dispatch
   time instead of wasting batch slots (``rejected_timeout``).
 
+Inputs are validated at this edge: a request whose shape does not fit
+its network, or whose values leave the int16 range of the paper's
+16-bit datapath, fails alone, with no bisect and no breaker failure.
+
 Fault behaviour degrades gracefully too (see ``docs/ROBUSTNESS.md``):
 
 * **Batch-bisect retry** — a failed batch execution splits recursively
@@ -42,11 +46,10 @@ Fault behaviour degrades gracefully too (see ``docs/ROBUSTNESS.md``):
   a mismatch (e.g. an injected SEU bit flip) triggers an automatic
   re-quantize-and-reload repair.
 
-The model registry is keyed on ``(network, level)`` and reuses
-:func:`repro.rrm.suite.plan_for`, so the codegen/static-timing plan for
-a network is built once and shared with the rest of the repo's cached
-plans; the static per-inference cycle count from that plan is what the
-metrics report as estimated simulated cycles per request.
+The model registry is keyed on ``(network, level)``; each entry's
+compiled model carries the static per-inference cycle count of the
+network's generated kernel, which the metrics report as estimated
+simulated cycles per request.
 """
 
 from __future__ import annotations
@@ -64,8 +67,7 @@ import numpy as np
 from ..faults.plans import InjectedWorkerDeath
 from ..nn.network import Network, QuantModel, init_params, quantize_params
 from ..rrm.networks import suite
-from ..rrm.suite import network_trace, plan_for
-from .batched import BatchedQuantModel
+from .aot import AotBatchedModel
 from .breaker import CircuitBreaker
 from .metrics import ServeMetrics
 
@@ -168,18 +170,13 @@ class ModelEntry:
 
     network: Network
     level: str
-    model: BatchedQuantModel
+    model: AotBatchedModel
     reference: QuantModel
     params_raw: list
     cycles_per_request: int
-    plan: object
     #: CRC32 per parameter array, frozen at registry build — the ground
     #: truth the integrity guard re-verifies against.
     checksums: list = field(default_factory=list)
-    #: Serving backend actually built for this entry ("aot" or
-    #: "batched" — an AOT request that hit an unsupported construct
-    #: records the fallback honestly).
-    backend: str = "batched"
 
 
 def _param_checksums(params_raw: list) -> list:
@@ -193,8 +190,8 @@ class ModelRegistry:
 
     Parameters are drawn once per network with the registry seed (same
     recipe as :class:`repro.rrm.suite.SuiteRunner`), quantized to Q3.12
-    and shared by the batched model and the per-sample reference.  The
-    codegen plan comes from the repo-wide :func:`plan_for` cache.
+    and shared by the compiled batched model and the per-sample
+    reference.
 
     Because the recipe is a pure function of ``(network, seed)``, the
     registry can also *repair* an entry whose arrays were corrupted in
@@ -203,25 +200,21 @@ class ModelRegistry:
     the arrays) recover together.
     """
 
-    def __init__(self, seed: int = 2020, abft: bool = False,
-                 backend: str = "aot"):
+    def __init__(self, seed: int = 2020, abft: bool = False):
         self.seed = seed
-        #: With ``abft`` the served model is checksum-verified (the AOT
-        #: fused-accumulator hook or
-        #: :class:`repro.resilience.abft.AbftBatchedModel`), so silent
-        #: compute corruption raises instead of serving bad outputs.
+        #: With ``abft`` the served model's plan verifies a column
+        #: checksum on every accumulator, so silent compute corruption
+        #: raises instead of serving bad outputs.
         self.abft = abft
-        #: Serving backend: ``"aot"`` compiles fused plans
-        #: (:mod:`repro.serve.aot`), ``"batched"`` keeps the
-        #: interpreted :class:`BatchedQuantModel`.
-        self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[tuple, ModelEntry] = {}
 
     def _build_model(self, network: Network, params: list, level: str):
+        # Looked up at call time, so a wrapper installed on the module
+        # (a tracing probe, say) sees every build.
         from .aot import build_serving_model
         return build_serving_model(network, params, level=level,
-                                   abft=self.abft, backend=self.backend)
+                                   abft=self.abft)
 
     def _pristine_params(self, network: Network) -> list:
         return quantize_params(
@@ -245,11 +238,8 @@ class ModelRegistry:
                     model=model,
                     reference=QuantModel(network, params),
                     params_raw=params,
-                    cycles_per_request=network_trace(network,
-                                                     level).total_cycles,
-                    plan=plan_for(network, level),
+                    cycles_per_request=model.cycles_per_request,
                     checksums=_param_checksums(params),
-                    backend=getattr(model, "backend_name", "batched"),
                 )
                 self._entries[key] = entry
         return entry
@@ -278,12 +268,10 @@ class ModelRegistry:
             for key in layer:
                 np.copyto(layer[key], good[key])
                 restored += 1
-        # AOT models hold derived operands (transposed float64 weights,
-        # pre-shifted biases, checksum references); re-derive them from
-        # the repaired arrays so they cannot drift.
-        reload = getattr(entry.model, "reload_params", None)
-        if reload is not None:
-            reload()
+        # The compiled model holds derived operands (transposed float64
+        # weights, pre-shifted biases, checksum references); re-derive
+        # them from the repaired arrays so they cannot drift.
+        entry.model.reload_params()
         return restored
 
     def flush(self) -> int:
@@ -308,11 +296,6 @@ class EngineConfig:
     """Batching, overload and fault-tolerance policy knobs."""
 
     level: str = "e"
-    #: Serving backend: ``"aot"`` (default) compiles each network's
-    #: plan into a fused batched callable (:mod:`repro.serve.aot`,
-    #: bit-exact, falls back per network on unsupported constructs);
-    #: ``"batched"`` forces the interpreted :class:`BatchedQuantModel`.
-    backend: str = "aot"
     max_batch_size: int = 16
     #: Max time the oldest queued request waits for the batch to fill
     #: (not at all when the network's measured arrival rate says no
@@ -335,18 +318,15 @@ class EngineConfig:
     #: batch-of-one): a transient fault recovers, a persistent poison
     #: request still fails after the budget.
     failed_single_retries: int = 1
-    #: Serve via the ABFT column-checksum-verified batched model, so
-    #: silent compute corruption is detected (then repaired and rerun)
-    #: instead of served.
+    #: Serve the ABFT plan, whose column checksum detects silent
+    #: compute corruption (then repaired and rerun) instead of serving
+    #: it.
     abft: bool = False
     #: Full-batch reruns attempted after an ABFT detection before the
     #: batch settles FAILED.
     abft_max_reruns: int = 2
 
     def __post_init__(self):
-        if self.backend not in ("aot", "batched"):
-            raise ValueError(
-                f"unknown serving backend {self.backend!r}")
         if self.max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
         if self.max_linger_s < 0:
@@ -464,8 +444,7 @@ class InferenceEngine:
         #: the shared quantized-weight store instead of re-quantizing.
         self.registry = registry if registry is not None \
             else ModelRegistry(seed=self.config.seed,
-                               abft=self.config.abft,
-                               backend=self.config.backend)
+                               abft=self.config.abft)
         self._queues = {net.name: _NetworkQueue(net) for net in self.networks}
         self._ids = itertools.count(1)
         #: The engine lock: guards every queue and the flags below.
@@ -750,28 +729,37 @@ class InferenceEngine:
             self.breakers[name].record_failure()
             return
         # Malformed inputs fail their own request, never the batch or
-        # the dispatcher.
+        # the dispatcher.  Shapes are checked per request; the int16
+        # range once over the stacked batch, per row only on a miss.
         valid: list[Request] = []
-        inputs: list[np.ndarray] = []
+        rows: list[np.ndarray] = []
         for request in live:
             try:
-                inputs.append(self._normalize_input(network, request.x_raw))
+                rows.append(self._normalize_input(network, request.x_raw))
                 valid.append(request)
             except ValueError as exc:
-                request._settle(RequestStatus.FAILED, error=str(exc))
-                self.metrics.on_failed(name)
-        live = valid
-        if not live:
+                self._settle_failed(request, name, str(exc))
+        if not valid:
             return
-        successes = self._run_attempt(network, entry, live, inputs, depth=0,
-                                      dispatch_t=dispatch_t)
+        inputs = np.stack(rows)
+        if inputs.min() < -32768 or inputs.max() > 32767:
+            wide = ((inputs < -32768) | (inputs > 32767)).any(axis=(1, 2))
+            for request in itertools.compress(valid, wide):
+                self._settle_failed(request, name,
+                                    f"{name}: input outside the int16 range")
+            valid = list(itertools.compress(valid, ~wide))
+            inputs = inputs[~wide]
+            if not valid:
+                return
+        successes = self._run_attempt(network, entry, valid, inputs,
+                                      depth=0, dispatch_t=dispatch_t)
         if successes > 0:
             self.breakers[name].record_success()
         else:
             self.breakers[name].record_failure()
 
     def _run_attempt(self, network: Network, entry: ModelEntry,
-                     requests: list[Request], inputs: list[np.ndarray],
+                     requests: list[Request], inputs: np.ndarray,
                      depth: int, retries: int | None = None,
                      sdc_reruns: int | None = None,
                      dispatch_t: float | None = None) -> int:
@@ -806,7 +794,7 @@ class InferenceEngine:
                                              metrics=self._injector_metrics)
             if depth == 0:
                 self._integrity_tick(network, entry)
-            outputs = entry.model.infer(np.stack(inputs))
+            outputs = entry.model.infer(inputs)
         except SdcDetected as exc:
             if tracer is not None:
                 tracer.complete("execute", name, t_start,

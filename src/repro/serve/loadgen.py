@@ -284,63 +284,6 @@ class LoadGenerator:
         }
 
 
-def _compare_backends(engine, networks, level: str, batch_size: int,
-                      seed: int, repeats: int = 3) -> dict:
-    """Model-level AOT vs interpreter throughput on identical inputs.
-
-    The open-loop bench measures the whole system (queueing, linger,
-    batch formation); under an unsaturated offered load both backends
-    complete the same req/s by construction.  This helper isolates the
-    backend itself: each network's registry entry model vs a fresh
-    :class:`BatchedQuantModel` on the same parameters and input batch,
-    best-of-``repeats`` timing — the honest apples-to-apples speedup
-    recorded in BENCH_serve.json.
-    """
-    from .batched import BatchedQuantModel
-
-    rng = np.random.default_rng(seed)
-    per_network = {}
-    total_model = total_interp = 0.0
-    for network in networks:
-        entry = engine.registry.get(network, level)
-        interp = BatchedQuantModel(network, entry.params_raw)
-        x = rng.integers(-4096, 4096,
-                         size=(batch_size, network.timesteps,
-                               network.input_size), dtype=np.int64)
-
-        def _best(model):
-            model.infer(x)  # warm buffers outside the timed region
-            best = float("inf")
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                model.infer(x)
-                best = min(best, time.perf_counter() - t0)
-            return best
-
-        t_model = _best(entry.model)
-        t_interp = _best(interp)
-        total_model += t_model
-        total_interp += t_interp
-        per_network[network.name] = {
-            "backend": entry.backend,
-            "model_rps": batch_size / t_model if t_model > 0 else 0.0,
-            "batched_rps": batch_size / t_interp
-            if t_interp > 0 else 0.0,
-            "speedup": t_interp / t_model if t_model > 0 else 0.0,
-        }
-    n = len(networks) * batch_size
-    return {
-        "batch_size": batch_size,
-        "per_network": per_network,
-        "total": {
-            "model_rps": n / total_model if total_model > 0 else 0.0,
-            "batched_rps": n / total_interp if total_interp > 0 else 0.0,
-            "speedup": total_interp / total_model
-            if total_model > 0 else 0.0,
-        },
-    }
-
-
 def run_serve_bench(scale: int | None = None, level: str = "e",
                     n_requests: int = 400, rate_rps: float | None = None,
                     rate_multiplier: float = 8.0, max_batch_size: int = 16,
@@ -349,7 +292,6 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
                     out_path: str | None = None, tracer=None,
                     traffic: TrafficModel | None = None,
                     n_tenants: int = 0, stop_event=None,
-                    backend: str = "aot",
                     dashboard_port: int | None = None) -> dict:
     """The ``serve-bench`` experiment: baseline, then batched serving.
 
@@ -360,18 +302,15 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
     ``traffic`` selects the arrival process; ``n_tenants > 0`` swaps
     the uniform network mix for per-tenant Dirichlet mixes.
     ``stop_event`` makes the run interruptible (partial results are
-    still written — see :class:`LoadGenerator`).  ``backend`` picks the
-    serving model (``"aot"`` fused plans or the ``"batched"``
-    interpreter); with the AOT backend the result also carries a
-    direct model-level backend comparison and the per-network roofline
-    placement (:mod:`repro.perfmodel.roofline`).  ``dashboard_port``
+    still written — see :class:`LoadGenerator`).  The result also
+    carries the per-network roofline placement
+    (:mod:`repro.perfmodel.roofline`).  ``dashboard_port``
     attaches a live :class:`repro.obs.web.DashboardServer` to the
     serving engine for the duration of the run.
     """
     networks = suite(scale)
     config = EngineConfig(level=level, max_batch_size=max_batch_size,
-                          max_linger_s=max_linger_s, seed=seed,
-                          backend=backend)
+                          max_linger_s=max_linger_s, seed=seed)
     engine = InferenceEngine(networks=networks, config=config,
                              metrics=ServeMetrics(), tracer=tracer)
     tenant_info = None
@@ -387,8 +326,7 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
 
     from ..obs.web import bench_dashboard
     with bench_dashboard(dashboard_port, engine=engine,
-                         label="serve-bench", backend=backend,
-                         scale=scale):
+                         label="serve-bench", scale=scale):
         baseline = sequential_baseline(engine, stream)
         if rate_rps is None:
             rate_rps = max(1.0,
@@ -417,15 +355,6 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
         networks, achieved_rps=achieved,
         rows_per_call=measured_rows_per_call(metrics["per_network"]))
 
-    # Direct model-level backend comparison at the serving batch size
-    # (the open-loop run above measures the *system*; this isolates
-    # the compiled plan vs the interpreter on identical inputs).
-    aot_vs_batched = None
-    if backend == "aot":
-        aot_vs_batched = _compare_backends(engine, networks, level,
-                                           batch_size=max_batch_size,
-                                           seed=seed)
-
     result = {
         "bench": "serve",
         "config": {
@@ -437,16 +366,8 @@ def run_serve_bench(scale: int | None = None, level: str = "e",
             "timeout_s": timeout_s,
             "seed": seed,
             "n_tenants": n_tenants,
-            "backend": backend,
-        },
-        "backend": backend,
-        "backends_used": {
-            name: engine.registry.get(net, level).backend
-            for name, net in ((n.name, n) for n in networks)
         },
         "roofline": roofline,
-        **({"aot_vs_batched": aot_vs_batched}
-           if aot_vs_batched is not None else {}),
         **run,
         **({"tenants": {k: v for k, v in tenant_info.items()
                         if k != "tenant_of"}}
@@ -520,15 +441,6 @@ def render_table(result: dict) -> str:
                  f"{result['achieved_throughput_rps']:>10.1f} req/s "
                  f"({result['speedup_vs_sequential']:.2f}x sequential, "
                  f"mean batch {result['mean_batch_size']:.1f})")
-    backend = result.get("backend")
-    if backend is not None:
-        comparison = result.get("aot_vs_batched")
-        suffix = ""
-        if comparison is not None:
-            total = comparison["total"]
-            suffix = (f" ({total['speedup']:.1f}x batched interpreter "
-                      f"at batch {comparison['batch_size']})")
-        lines.append(f"serving backend     {backend:>10}{suffix}")
     roofline = result.get("roofline")
     if roofline:
         host = roofline["host"]

@@ -1,5 +1,7 @@
 """Fused activation epilogue (optimization beyond the paper)."""
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -37,7 +39,8 @@ class TestFusedActivation:
     @pytest.mark.parametrize("level", ("c", "d", "e"))
     @pytest.mark.parametrize("activation", ("tanh", "sig", "relu"))
     def test_matches_golden(self, level, activation):
-        rng = np.random.default_rng(hash((level, activation)) % 2 ** 31)
+        rng = np.random.default_rng(
+            zlib.crc32(repr((level, activation)).encode()))
         w = rng.integers(-2000, 2000, (17, 14))
         x = rng.integers(-2000, 2000, 14)
         bias = rng.integers(-2000, 2000, 17)

@@ -239,12 +239,12 @@ class TestHttpGet:
         assert body["v"] == API_VERSION
         assert body["mode"] == "engine"
         assert body["actions"] == list(ACTIONS)
-        assert set(body["build"]) == {"version", "engine", "backend"}
+        assert set(body["build"]) == {"version", "engine"}
         assert body["uptime_s"] > 0
         assert body["networks"] == [net.name for net in engine.networks]
         sub = body["engine"]
         for key in ("queue_depths", "total_queue_depth", "breakers",
-                    "plan_cache_entries", "level", "backend", "injector"):
+                    "plan_cache_entries", "level", "injector"):
             assert key in sub
         assert set(body["stages"]) == set(STAGES)
 

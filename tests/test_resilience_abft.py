@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from repro.faults import FaultInjector, FaultSpec
-from repro.resilience import AbftBatchedModel, SdcDetected
-from repro.resilience.abft import verify_dense_acc
-from repro.serve.batched import BatchedQuantModel
+from repro.nn.layers import wrap32
+from repro.nn.network import QuantModel
+from repro.resilience import SdcDetected
+from repro.rrm.networks import suite
+from repro.serve.aot import AotBatchedModel, _abft_check
 from repro.serve.engine import (EngineConfig, InferenceEngine,
                                 ModelRegistry, RequestStatus)
-from repro.rrm.networks import suite
 
 NETWORKS = suite(4)
 BY_NAME = {net.name: net for net in NETWORKS}
@@ -28,18 +29,26 @@ def _batch(network, batch_size=5, seed=0):
     return np.asarray(floats * 4096, dtype=np.int64)
 
 
+def _scalar(network, params, x):
+    """The scalar oracle on one ``(in_size,)`` input fed every step."""
+    return QuantModel(network, params).forward([x] * network.timesteps)
+
+
 class TestDifferential:
     @pytest.mark.parametrize("network", NETWORKS, ids=lambda n: n.name)
     def test_no_false_positives_and_bit_exact(self, network):
         """Fault-free, the checked model must be bit-identical to the
-        plain one — the checksum identity is exact in int arithmetic,
-        so it never fires spuriously and never perturbs outputs."""
+        scalar oracle — the checksum identity is exact in int
+        arithmetic, so it never fires spuriously and never perturbs
+        outputs."""
         params = _params(network)
-        plain = BatchedQuantModel(network, params)
-        checked = AbftBatchedModel(network, params)
+        checked = AotBatchedModel(network, params, abft=True)
         for seed in range(3):
             x = _batch(network, seed=seed)
-            assert np.array_equal(checked.infer(x), plain.infer(x))
+            out = checked.infer(x)
+            for row in range(len(x)):
+                assert np.array_equal(out[row],
+                                      _scalar(network, params, x[row]))
         assert checked.sdc_detections == 0
 
     def test_verify_mask_is_per_row(self):
@@ -48,12 +57,15 @@ class TestDifferential:
         w = rng.integers(-2048, 2048, (8, network.input_size))
         x = rng.integers(-2048, 2048, (4, network.input_size))
         bias = rng.integers(-2048, 2048, 8)
-        from repro.serve.batched import dense_acc_batch
-        acc = dense_acc_batch(w, x, bias)
-        assert not verify_dense_acc(w, x, bias, acc).any()
+        acc = wrap32((bias << 12) + x @ w.T)
+        colsum, bias_sum = w.sum(axis=0), int(bias.sum()) << 12
+        model = AotBatchedModel(network, _params(network), abft=True)
+        _abft_check(model, acc, x, colsum, bias_sum)
         acc[2, 3] ^= 1 << 7
-        mask = verify_dense_acc(w, x, bias, acc)
-        assert mask.tolist() == [False, False, True, False]
+        with pytest.raises(SdcDetected) as info:
+            _abft_check(model, acc, x, colsum, bias_sum)
+        assert info.value.rows == (2,)
+        assert model.sdc_detections == 1
 
 
 class TestDetection:
@@ -61,7 +73,7 @@ class TestDetection:
         """100% detection: any single-bit flip below bit 31 of any
         accumulator element breaks the row checksum with certainty."""
         network = BY_NAME["sun2017"]
-        checked = AbftBatchedModel(network, _params(network))
+        checked = AotBatchedModel(network, _params(network), abft=True)
         x = _batch(network, batch_size=4, seed=7)
         rng = np.random.default_rng(11)
         trials = 25
@@ -80,17 +92,19 @@ class TestDetection:
         assert checked.sdc_detections >= trials
 
     def test_plain_model_is_silently_corrupted(self):
-        """The contrast that motivates ABFT: the base model swallows the
-        same corruption and returns wrong bits with DONE status."""
+        """The contrast that motivates ABFT: the plain model swallows
+        the same corruption and returns wrong bits for that row."""
         network = BY_NAME["sun2017"]
         params = _params(network)
-        plain = BatchedQuantModel(network, params)
+        plain = AotBatchedModel(network, params)
         x = _batch(network, batch_size=2, seed=3)
-        clean = plain.infer(x)
         plain.arm_sdc(lambda acc: acc.__setitem__((0, 0),
                                                   int(acc[0, 0]) ^ (1 << 20)))
         corrupted = plain.infer(x)
-        assert not np.array_equal(clean, corrupted)
+        assert plain.sdc_detections == 0
+        assert not np.array_equal(corrupted[0],
+                                  _scalar(network, params, x[0]))
+        assert np.array_equal(corrupted[1], _scalar(network, params, x[1]))
 
 
 class TestEnginePath:
@@ -106,8 +120,7 @@ class TestEnginePath:
         network = BY_NAME[name]
         xs = [_batch(network, batch_size=1, seed=s)[0] for s in range(8)]
         entry = engine.registry.get(network, "e")
-        reference = BatchedQuantModel(network, entry.params_raw)
-        expected = reference.infer(np.stack(xs))
+        expected = [_scalar(network, entry.params_raw, x) for x in xs]
         with engine:
             requests = [engine.submit(name, x) for x in xs]
             for request in requests:

@@ -1,26 +1,32 @@
-"""AOT serving plans: bit-exactness, cycle-exactness, ABFT, fallback.
+"""AOT serving plans: bit-exactness, cycle-exactness, ABFT, input range.
 
-The compiled plan must be indistinguishable from the batched
-interpreter — which is itself certified row-for-row against the scalar
-``QuantModel`` — on every suite network, at every optimisation level,
-over the full Q3.12 input range, with and without the ABFT checksum
-hook.  Cycle estimates must equal the static performance model
-exactly.
+Every row of the compiled model, with and without the ABFT checksum,
+must equal an independent scalar ``QuantModel`` run — on every suite
+network, over the full int16 input range.  Cycle estimates must equal
+the static performance model exactly.
 """
+
+import zlib
 
 import numpy as np
 import pytest
 
 from repro.kernels.common import LEVELS
-from repro.nn.network import QuantModel, init_params, quantize_params
+from repro.nn.network import (DenseSpec, Network, QuantModel, init_params,
+                              quantize_params)
 from repro.perfmodel import predict_network_cycles
-from repro.resilience.abft import AbftBatchedModel, SdcDetected
+from repro.resilience.abft import SdcDetected
 from repro.rrm.networks import FULL_SUITE, suite
-from repro.serve.aot import (AotAbftModel, AotBatchedModel, _PLAN_CACHE,
+from repro.serve.aot import (AotBatchedModel, _PLAN_CACHE,
                              build_serving_model, compile_plan)
-from repro.serve.batched import BatchedQuantModel
 
 _IDS = [n.name for n in FULL_SUITE]
+
+
+def _seed(*key) -> int:
+    """An RNG seed fixed by ``key`` in every process (``hash`` of a
+    string is salted per process, so it would draw new inputs per run)."""
+    return zlib.crc32(repr(key).encode())
 
 
 def _params(network, seed=7, scale=1.0):
@@ -38,73 +44,90 @@ def _batch(network, rng, batch_size, spread=1.0):
                          network.input_size), spread=spread)
 
 
+def _full_range(network, rng, batch_size):
+    return rng.integers(-32768, 32768, (batch_size, network.timesteps,
+                                        network.input_size), dtype=np.int64)
+
+
+def _scalar_rows(network, params, xs):
+    """Each ``(T, in_size)`` row of ``xs`` through the scalar oracle."""
+    model = QuantModel(network, params)
+    outs = []
+    for x in xs:
+        model.reset()
+        outs.append(model.forward(x))
+    return np.stack(outs)
+
+
 class TestBitExactness:
-    """AOT ≡ batched interpreter ≡ scalar QuantModel."""
+    """Compiled plan ≡ ABFT plan ≡ scalar QuantModel."""
 
     @pytest.mark.parametrize("batch_size", (1, 3, 16))
     @pytest.mark.parametrize("network", FULL_SUITE, ids=_IDS)
     def test_triple_equivalence(self, network, batch_size):
-        rng = np.random.default_rng(
-            hash(("aot", network.name, batch_size)) % 2**32)
+        rng = np.random.default_rng(_seed("aot", network.name, batch_size))
         params = _params(network)
         xs = _batch(network, rng, batch_size)
-        aot = AotBatchedModel(network, params)
-        batched = BatchedQuantModel(network, params)
-        out = aot.infer(xs)
-        assert np.array_equal(out, batched.infer(xs))
-        for row in range(batch_size):
-            scalar = QuantModel(network, params)
-            assert np.array_equal(out[row], scalar.forward(xs[row])), (
-                f"{network.name}: AOT row {row} diverges from scalar")
+        out = AotBatchedModel(network, params).infer(xs)
+        checked = AotBatchedModel(network, params, abft=True)
+        assert np.array_equal(checked.infer(xs), out)
+        assert checked.sdc_detections == 0
+        assert np.array_equal(out, _scalar_rows(network, params, xs)), (
+            f"{network.name}: AOT diverges from scalar")
 
     @pytest.mark.parametrize("network", suite(4),
                              ids=[n.name for n in suite(4)])
     def test_saturation_stress(self, network):
         # Oversized params + full-range inputs exercise saturation and
         # 32-bit wraparound through the float64-GEMM datapath.
-        rng = np.random.default_rng(hash(("sat", network.name)) % 2**32)
+        rng = np.random.default_rng(_seed("sat", network.name))
         params = _params(network, scale=8.0)
-        xs = np.asarray(
-            rng.integers(-32768, 32768,
-                         (8, network.timesteps, network.input_size)),
-            dtype=np.int64)
-        aot = AotBatchedModel(network, params)
-        assert np.array_equal(aot.infer(xs),
-                              BatchedQuantModel(network, params).infer(xs))
+        xs = _full_range(network, rng, 8)
+        assert np.array_equal(AotBatchedModel(network, params).infer(xs),
+                              _scalar_rows(network, params, xs))
 
     @pytest.mark.parametrize("network", FULL_SUITE, ids=_IDS)
     def test_fuzz_randomized(self, network):
         params = _params(network, seed=31, scale=2.0)
         aot = AotBatchedModel(network, params)
-        batched = BatchedQuantModel(network, params)
         for trial in range(5):
             rng = np.random.default_rng(9000 + trial)
             xs = _batch(network, rng, int(rng.integers(1, 9)),
                         spread=float(rng.uniform(0.1, 8.0)))
-            assert np.array_equal(aot.infer(xs), batched.infer(xs))
+            assert np.array_equal(aot.infer(xs),
+                                  _scalar_rows(network, params, xs))
 
     def test_2d_input_path(self):
         network = FULL_SUITE[0]
         params = _params(network)
         rng = np.random.default_rng(3)
         x2 = _inputs(rng, (5, network.input_size))
-        aot = AotBatchedModel(network, params)
-        assert np.array_equal(aot.infer(x2),
-                              BatchedQuantModel(network, params).infer(x2))
+        expanded = np.repeat(x2[:, None, :], network.timesteps, axis=1)
+        assert np.array_equal(AotBatchedModel(network, params).infer(x2),
+                              _scalar_rows(network, params, expanded))
 
-    def test_wide_input_fallback_is_bit_exact(self):
-        # Inputs beyond int16 void the float64 exactness proof; the
-        # model must route through the interpreter and still agree.
+    @pytest.mark.parametrize("network", suite(4),
+                             ids=[n.name for n in suite(4)])
+    def test_int16_min_batch_matches_scalar(self, network):
+        # -32768 is a legal int16 value: it must take the compiled path
+        # and stay exact, on the largest weights too.
+        params = _params(network, scale=8.0)
+        xs = np.full((4, network.timesteps, network.input_size), -32768,
+                     dtype=np.int64)
+        assert np.array_equal(AotBatchedModel(network, params).infer(xs),
+                              _scalar_rows(network, params, xs))
+
+    @pytest.mark.parametrize("value", (32768, -32769))
+    def test_out_of_range_input_raises(self, value):
+        # Beyond int16 the float64 exactness proof is void, and the
+        # paper's 16-bit datapath cannot hold the value either.
         network = FULL_SUITE[0]
-        params = _params(network)
-        rng = np.random.default_rng(4)
-        xs = np.asarray(
-            rng.integers(-(1 << 20), 1 << 20,
-                         (4, network.timesteps, network.input_size)),
-            dtype=np.int64)
-        aot = AotBatchedModel(network, params)
-        assert np.array_equal(aot.infer(xs),
-                              BatchedQuantModel(network, params).infer(xs))
+        model = AotBatchedModel(network, _params(network))
+        xs = np.zeros((3, network.timesteps, network.input_size),
+                      dtype=np.int64)
+        xs[1, 0, 0] = value
+        with pytest.raises(ValueError, match="int16"):
+            model.infer(xs)
 
 
 class TestCycleExactness:
@@ -119,10 +142,12 @@ class TestCycleExactness:
 class TestAbft:
     @pytest.mark.parametrize("network", FULL_SUITE, ids=_IDS)
     def test_clean_run_matches_plain(self, network):
-        params = _params(network)
-        rng = np.random.default_rng(hash(("abft", network.name)) % 2**32)
-        xs = _batch(network, rng, 4)
-        abft = AotAbftModel(network, params)
+        # Saturating values wrap the 32-bit accumulators, and the
+        # checksum identity must still hold exactly.
+        params = _params(network, scale=8.0)
+        rng = np.random.default_rng(_seed("abft", network.name))
+        xs = _full_range(network, rng, 4)
+        abft = AotBatchedModel(network, params, abft=True)
         assert np.array_equal(abft.infer(xs),
                               AotBatchedModel(network, params).infer(xs))
         assert abft.sdc_detections == 0
@@ -131,7 +156,7 @@ class TestAbft:
         network = FULL_SUITE[0]
         params = _params(network)
         xs = _batch(network, np.random.default_rng(5), 4)
-        abft = AotAbftModel(network, params)
+        abft = AotBatchedModel(network, params, abft=True)
         # Flip a bit above the requantization shift so the corruption
         # would be output-visible if it went undetected.
         abft.arm_sdc(lambda acc: acc.__setitem__(
@@ -140,41 +165,6 @@ class TestAbft:
             abft.infer(xs)
         assert 0 in exc.value.rows
         assert abft.sdc_detections >= 1
-
-    def test_detection_parity_with_batched_abft(self):
-        # Same corruption, same verdict as the interpreter's ABFT.
-        network = FULL_SUITE[0]
-        params = _params(network)
-        xs = _batch(network, np.random.default_rng(6), 4)
-
-        def corrupt(acc):
-            acc[1, 0] ^= 1 << 16
-
-        for model in (AotAbftModel(network, params),
-                      AbftBatchedModel(network, params)):
-            model.arm_sdc(corrupt)
-            with pytest.raises(SdcDetected) as exc:
-                model.infer(xs)
-            assert exc.value.rows == (1,)
-
-    def test_silent_sdc_parity_with_batched(self):
-        # The plain AOT model must corrupt *identically* to the plain
-        # interpreter: same one-shot hook point, same visible damage.
-        network = FULL_SUITE[0]
-        params = _params(network)
-        xs = _batch(network, np.random.default_rng(7), 4)
-
-        def corrupt(acc):
-            acc[0, 0] ^= 1 << 20
-
-        aot = AotBatchedModel(network, params)
-        batched = BatchedQuantModel(network, params)
-        aot.arm_sdc(corrupt)
-        batched.arm_sdc(corrupt)
-        out_a, out_b = aot.infer(xs), batched.infer(xs)
-        assert np.array_equal(out_a, out_b)
-        clean = BatchedQuantModel(network, params).infer(xs)
-        assert not np.array_equal(out_a, clean)
 
 
 class TestPlanCacheAndFallback:
@@ -185,29 +175,25 @@ class TestPlanCacheAndFallback:
         assert (network, False) in _PLAN_CACHE
         assert (network, True) in _PLAN_CACHE
 
-    def test_build_serving_model_backends(self):
+    def test_build_serving_model_has_no_fallback(self):
         network = FULL_SUITE[0]
         params = _params(network)
-        assert isinstance(build_serving_model(network, params),
-                          AotBatchedModel)
-        assert isinstance(build_serving_model(network, params, abft=True),
-                          AotAbftModel)
-        batched = build_serving_model(network, params, backend="batched")
-        assert type(batched) is BatchedQuantModel
-        abft = build_serving_model(network, params, backend="batched",
-                                   abft=True)
-        assert type(abft) is AbftBatchedModel
-        with pytest.raises(ValueError):
-            build_serving_model(network, params, backend="jit")
+        for abft in (False, True):
+            model = build_serving_model(network, params, abft=abft)
+            assert isinstance(model, AotBatchedModel)
+            assert model._plan is compile_plan(network, abft)
+        # A construct the compiler cannot lower fails the build.
+        odd = Network(name="odd", layers=(DenseSpec(4, 2, "gelu"),))
+        with pytest.raises(ValueError, match="gelu"):
+            build_serving_model(odd, _params(odd))
 
     def test_shape_validation(self):
         network = FULL_SUITE[0]
         model = AotBatchedModel(network, _params(network))
-        with pytest.raises(ValueError):
-            model.infer(np.zeros((2, 99, network.input_size),
-                                 dtype=np.int64))
-        with pytest.raises(ValueError):
-            model.infer(np.zeros(network.input_size, dtype=np.int64))
+        for shape in ((2, 99, network.input_size), (network.input_size,),
+                      (0, network.timesteps, network.input_size)):
+            with pytest.raises(ValueError):
+                model.infer(np.zeros(shape, dtype=np.int64))
 
 
 class TestRegistryIntegration:
@@ -216,8 +202,8 @@ class TestRegistryIntegration:
         registry = ModelRegistry(seed=2020)
         network = FULL_SUITE[0]
         entry = registry.get(network, "e")
-        assert entry.backend == "aot"
         assert isinstance(entry.model, AotBatchedModel)
+        assert entry.cycles_per_request == entry.model.cycles_per_request
 
     def test_repair_reloads_compiled_weights(self):
         from repro.serve.engine import ModelRegistry

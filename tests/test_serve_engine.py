@@ -7,7 +7,7 @@ import pytest
 
 from repro.nn.network import QuantModel
 from repro.rrm.networks import suite
-from repro.rrm.suite import network_trace, plan_for
+from repro.rrm.suite import network_trace
 from repro.serve.engine import (EngineConfig, InferenceEngine, ModelRegistry,
                                 RequestStatus)
 from repro.serve.metrics import Counter, Gauge, LatencyHistogram
@@ -137,6 +137,35 @@ class TestDeadlinesAndShedding:
             assert good.ok
         assert engine.metrics.network(name).failed.value == 1
 
+    @pytest.mark.parametrize("value", (32768, -32769))
+    def test_out_of_range_input_fails_alone(self, value):
+        # Outside int16 a request fails at the edge like a bad shape:
+        # no bisect, no batch failure, no breaker failure.
+        engine = _engine(breaker_failure_threshold=1)
+        name = "sun2017"
+        network = BY_NAME[name]
+        xs = [_input(network, seed) for seed in range(4)]
+        xs[0][0] = -32768  # the int16 minimum itself is served
+        xs[2][1] = value
+        requests = [engine.submit(name, x) for x in xs]
+        with engine:
+            for request in requests:
+                assert request.wait(timeout=5.0)
+        wide = requests.pop(2)
+        assert wide.status == RequestStatus.FAILED
+        assert "int16" in wide.error
+        entry = engine.registry.get(network, "e")
+        for x, request in zip(xs[:2] + xs[3:], requests):
+            assert request.ok and request.batch_size == 3
+            expected = QuantModel(network, entry.params_raw).forward(
+                np.repeat(x[None, :], network.timesteps, axis=0))
+            assert np.array_equal(request.output, expected)
+        metrics = engine.metrics.network(name)
+        assert metrics.failed.value == 1
+        assert metrics.bisects.value == 0
+        assert metrics.batch_failures.value == 0
+        assert engine.breaker_states()[name] == "closed"
+
 
 class TestMetrics:
     def test_counts_and_sim_cycles(self):
@@ -197,7 +226,6 @@ class TestRegistryAndConfig:
         second = registry.get(network, "e")
         assert first is second
         assert len(registry) == 1
-        assert first.plan is plan_for(network, "e")
         assert first.cycles_per_request == \
             network_trace(network, "e").total_cycles
         other = registry.get(network, "c")
