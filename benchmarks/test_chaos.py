@@ -7,26 +7,27 @@ fault-tolerance artifact the serving stack is tracked by across PRs —
 plus the rendered availability/recovery report as ``out/chaos.txt``.
 """
 
-from repro.serve.chaos import render_chaos_table, run_chaos_bench
+from repro.bench import chaos, render
 
 
 def test_chaos_bench_artifact(save_artifact, save_json):
-    result = run_chaos_bench(scale=4, n_requests=300, duration_s=3.0)
+    result = chaos(scale=4, requests=300, duration=3.0)
     save_json("BENCH_chaos.json", result)
-    save_artifact("chaos.txt", render_chaos_table(result))
+    save_artifact("chaos.txt", render(result))
+    measured = result["passes"]["chaos"]
 
-    assert result["chaos"]["submitted"] == 300
+    assert measured["submitted"] == 300
     # The acceptance bar: >= 90% of non-rejected requests complete with
     # bit-exact output while the chaos scenario is running.
     # (a few outputs may be silently corrupted between cadence-5
     # integrity checks — those count against availability, not as done).
-    assert result["availability"] >= 0.90
+    assert measured["availability"] >= 0.90
     # Faults really were injected, end to end.
-    assert result["faults"]["injected_events"] > 0
-    assert set(result["faults"]["by_kind"]) >= {"bitflip", "crash"}
+    assert measured["faults"]["injected_events"] > 0
+    assert set(measured["faults"]["by_kind"]) >= {"bitflip", "crash"}
     # The integrity guard caught the bit flips and repaired in place.
-    assert result["integrity_repairs"] >= 1
+    assert measured["resilience"]["integrity_repairs"] >= 1
     # No breaker that opened stayed open once its fault window passed.
-    assert result["all_breakers_reclosed"]
+    assert measured["breakers"]["all_reclosed"]
     # Chaos costs throughput, but the runtime must stay useful.
-    assert result["goodput_ratio_vs_baseline"] >= 0.5
+    assert result["summary"]["goodput_ratio_vs_baseline"] >= 0.5

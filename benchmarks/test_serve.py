@@ -7,21 +7,22 @@ serving stack is tracked by across PRs — plus the rendered
 latency/throughput table as ``out/serve.txt``.
 """
 
-from repro.serve.loadgen import render_table, run_serve_bench
+from repro.bench import render, serve
 
 
 def test_serve_bench_artifact(save_artifact, save_json):
-    result = run_serve_bench(scale=4, n_requests=300)
+    result = serve(scale=4, requests=300)
     save_json("BENCH_serve.json", result)
-    save_artifact("serve.txt", render_table(result))
+    save_artifact("serve.txt", render(result))
+    engine = result["passes"]["engine"]
 
-    assert result["submitted"] == 300
-    assert result["completed"] > 0
-    assert result["metrics"]["total"]["failed"] == 0
+    assert engine["submitted"] == 300
+    assert engine["completed"] > 0
+    assert engine["metrics"]["total"]["failed"] == 0
     # Dynamic batching must beat the batch=1 sequential baseline.
-    assert result["achieved_throughput_rps"] > \
-        result["baseline_sequential"]["throughput_rps"]
-    assert result["mean_batch_size"] > 1.0
+    assert engine["achieved_throughput_rps"] > \
+        result["sequential"]["throughput_rps"]
+    assert engine["mean_batch_size"] > 1.0
 
 
 def test_batched_model_infer_throughput(benchmark):

@@ -27,38 +27,42 @@ Commands:
         serving latency; writes BENCH_obs.json
 
     serve-bench [--requests N] [--rate R] [--traffic KIND]
-            [--tenants N] [--cluster] [--out FILE.json]
-        drive the batched inference runtime with an open-loop load
+            [--tenants N] [--out FILE.json]
+        drive one batched inference engine with an open-loop load
         generator (--traffic poisson|diurnal|bursty|diurnal-bursty,
-        --tenants for per-tenant network mixes), print the
-        latency/throughput table and write machine-readable results
-        (default BENCH_serve.json); --cluster redirects the run to
-        cluster-bench with the same knobs
+        --tenants for per-tenant network mixes) against the sequential
+        baseline; writes BENCH_serve.json
 
     cluster-bench [--requests N] [--workers 1,2,4,8] [--traffic KIND]
             [--autoscale] [--out FILE.json] [--trace-out FILE.json]
         drive the process-sharded serving cluster over a worker-count
-        scaling curve at one offered load, checking every output
-        bit-exactly against the golden model; writes BENCH_serve.json
-        by default and, with --trace-out, one merged Perfetto trace
+        scaling curve at one offered load; writes BENCH_serve.json by
+        default and, with --trace-out, one merged Perfetto trace
         spanning the router and every worker process
 
     chaos-bench [--requests N] [--duration S] [--cluster]
             [--workers N] [--out FILE.json] [--trace-out FILE.json]
         drive the runtime under a scripted fault scenario (weight
-        bit-flips, crashes, latency spikes), print the availability /
-        recovery report and write BENCH_chaos.json; --trace-out
-        additionally writes a Perfetto-loadable span trace of the run;
-        --cluster runs the scenario against the process-sharded
-        cluster and adds SIGKILL worker-process deaths on a
-        deterministic schedule
+        bit-flips, crashes, latency spikes, activation SDC) and write
+        BENCH_chaos.json; --trace-out additionally writes a
+        Perfetto-loadable span trace of the chaos pass; --cluster runs
+        the scenario against the process-sharded cluster and adds
+        SIGKILL worker-process deaths on a deterministic schedule
 
-    The three bench commands drain gracefully on SIGINT/SIGTERM:
-    submission stops, in-flight requests settle and the partial
-    benchmark JSON is still written (with "interrupted": true).
-    All three also accept --dashboard PORT to serve the live web
-    control plane (metrics, flamegraphs, traces, operator actions)
-    for the duration of the run.
+    aot-bench [--batch B] [--repeats N] [--out FILE.json]
+        time every compiled plan against the scalar QuantModel, check
+        it bit-exactly and place it on the host roofline; writes
+        BENCH_aot.json and exits 1 if any output diverged
+
+    Every bench runs through one harness (repro.bench): each checks
+    every served output bit-exactly against the golden model, writes
+    one JSON schema ("schema": 1) and prints one kind of table.  The
+    load benches drain gracefully on SIGINT/SIGTERM: submission stops,
+    in-flight requests settle and the partial benchmark JSON is still
+    written (with "interrupted": true).  serve-bench, cluster-bench and
+    chaos-bench also accept --dashboard PORT to serve the live web
+    control plane (metrics, flamegraphs, traces, operator actions) for
+    the duration of the run.
 
     dashboard [--port P] [--cluster] [--workers N] [--load RPS]
             [--duration S] [--token TOKEN]
@@ -192,56 +196,16 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_overhead_bench(args) -> int:
-    from .obs.overhead import run_overhead_bench
-    result = run_overhead_bench(
-        scale=args.scale, level=args.level, engine=args.engine,
-        network_name=args.network, repeats=args.repeats,
-        n_requests=args.requests, seed=args.seed, out_path=args.out)
-    iss = result["iss"]
-    serve = result["serve"]
-    print("overhead-bench: observability cost "
-          f"(network {result['config']['network']}, level "
-          f"{result['config']['level']}, engine "
-          f"{result['config']['engine']})")
-    off_rate = iss["uninstrumented"]["instret_per_s"]
-    print(f"  ISS instret/s   off {off_rate:>12.0f}"
-          f"   with profile {iss['instrumented']['instret_per_s']:>12.0f}"
-          f"   (opt-in cost {iss['profile_overhead_pct']:.1f}%)")
-    off_p99 = serve["uninstrumented"]["p99_s"]
-    on_p99 = serve["instrumented"]["p99_s"]
-    print(f"  serve p99       off {off_p99 * 1e3:>12.2f}ms"
-          f"   with tracer  {on_p99 * 1e3:>12.2f}ms"
-          f"   ({serve['trace_events']} span events)")
-    dash = result["dashboard"]
-    on_path = dash["on_path"]
-    print(f"  serve p99       off {off_p99 * 1e3:>12.2f}ms"
-          f"   with dashboard {dash['attached']['p99_s'] * 1e3:>10.2f}ms"
-          f"   ({dash['attached']['scrapes']} scrapes)")
-    print(f"  dashboard on-path overhead: "
-          f"{on_path['overhead_pct']:.4f}% "
-          f"({on_path['records_per_request']:.2f} stage records x "
-          f"{on_path['stage_record_cost_ns']:.0f}ns over "
-          f"{on_path['service_time_us']:.0f}us/request; budget "
-          f"{dash['budget_pct']:.0f}%"
-          f"{' OK' if dash['within_budget'] else ' EXCEEDED'})")
-    off_path = result["off_path"]
-    print(f"  instrumentation-off overhead: "
-          f"{result['overhead_off_pct']:.4f}% "
-          f"({off_path['guards_per_request']} guards x "
-          f"{off_path['guard_cost_ns']:.0f}ns over "
-          f"{off_path['service_time_us']:.0f}us/request; wall-clock "
-          f"noise floor {iss['noise_floor_pct']:.2f}%)")
-    if args.out:
-        print(f"[written {args.out}]")
-    return 0
-
-
-def _traffic_model(args):
-    from .serve.loadgen import TrafficModel
-    if getattr(args, "traffic", "poisson") == "poisson":
-        return None
-    return TrafficModel(kind=args.traffic)
+#: Bench command -> ``(module, driver)``.  A driver takes the command's
+#: options as keyword arguments plus ``stop_event`` and returns its
+#: result in the shared schema (:mod:`repro.bench`).
+_BENCHES = {
+    "serve-bench": ("repro.bench", "serve"),
+    "cluster-bench": ("repro.bench", "cluster"),
+    "chaos-bench": ("repro.bench", "chaos"),
+    "aot-bench": ("repro.bench", "aot"),
+    "overhead-bench": ("repro.obs.overhead", "run_overhead_bench"),
+}
 
 
 def _interrupt_note(stop) -> None:
@@ -250,150 +214,39 @@ def _interrupt_note(stop) -> None:
               "in-flight requests, wrote partial results]")
 
 
-def _cmd_serve_bench(args) -> int:
-    if args.cluster:
-        # serve-bench --cluster is cluster-bench with serve-bench's
-        # knobs; fleet-only knobs take their cluster-bench defaults.
-        args.workers = args.workers or "1,2,4,8"
-        args.capacity = getattr(args, "capacity", 256)
-        args.autoscale = getattr(args, "autoscale", False)
-        args.trace_out = getattr(args, "trace_out", None)
-        return _cmd_cluster_bench(args)
-    from .serve.loadgen import render_table, run_serve_bench
+def _cmd_bench(args) -> int:
+    import importlib
+
+    from .bench import render
     from .serve.shutdown import GracefulShutdown
+    module, name = _BENCHES[args.command]
+    driver = getattr(importlib.import_module(module), name)
+    options = {k: v for k, v in vars(args).items() if k != "command"}
     with GracefulShutdown() as stop:
-        result = run_serve_bench(
-            scale=args.scale,
-            level=args.level,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            max_batch_size=args.batch,
-            max_linger_s=args.linger_ms / 1e3,
-            timeout_s=None if args.timeout_ms is None
-                else args.timeout_ms / 1e3,
-            seed=args.seed,
-            out_path=args.out,
-            traffic=_traffic_model(args),
-            n_tenants=args.tenants,
-            stop_event=stop.event,
-            dashboard_port=args.dashboard,
-        )
-    print(render_table(result))
+        result = driver(**options, stop_event=stop.event)
+    print(render(result))
     if args.out:
         print(f"\n[written {args.out}]")
-    _interrupt_note(stop)
-    return 0
-
-
-def _cmd_cluster_bench(args) -> int:
-    from .cluster.bench import render_cluster_table, run_cluster_bench
-    from .serve.shutdown import GracefulShutdown
-    worker_counts = [int(w) for w in args.workers.split(",") if w.strip()]
-    with GracefulShutdown() as stop:
-        result = run_cluster_bench(
-            scale=args.scale,
-            level=args.level,
-            n_requests=args.requests,
-            rate_rps=args.rate,
-            worker_counts=worker_counts,
-            max_batch_size=args.batch,
-            max_linger_s=args.linger_ms / 1e3,
-            capacity=args.capacity,
-            timeout_s=None if args.timeout_ms is None
-                else args.timeout_ms / 1e3,
-            seed=args.seed,
-            autoscale=args.autoscale,
-            traffic=_traffic_model(args),
-            n_tenants=args.tenants,
-            out_path=args.out,
-            trace_out=args.trace_out,
-            stop_event=stop.event,
-            dashboard_port=args.dashboard,
-        )
-    print(render_cluster_table(result))
-    if args.out:
-        print(f"\n[written {args.out}]")
-    if args.trace_out and "trace" in result:
+    if result.get("trace"):
         trace = result["trace"]
-        print(f"[written {args.trace_out}: {trace['events']} events over "
-              f"{trace['processes']} processes — load at "
-              "https://ui.perfetto.dev]")
+        print(f"[written {trace['path']}: {trace['events']} trace events "
+              "-- load at https://ui.perfetto.dev]")
     _interrupt_note(stop)
-    return 0
+    return 0 if result.get("bit_exact", True) else 1
 
 
-def _cmd_aot_bench(args) -> int:
-    from .serve.aot import render_aot_table, run_aot_bench
-    result = run_aot_bench(
-        scale=args.scale,
-        level=args.level,
-        batch_size=args.batch,
-        repeats=args.repeats,
-        seed=args.seed,
-        out_path=args.out,
-    )
-    print(render_aot_table(result))
-    if args.out:
-        print(f"\n[written {args.out}]")
-    return 0 if result["bit_exact"] else 1
+def _traffic(kind: str):
+    """``--traffic`` value: an arrival shape (argparse type)."""
+    from .serve.loadgen import TrafficModel
+    try:
+        return TrafficModel(kind=kind)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _cmd_chaos_bench(args) -> int:
-    from .serve.shutdown import GracefulShutdown
-    if args.cluster:
-        from .cluster.bench import (render_cluster_chaos_table,
-                                    run_cluster_chaos_bench)
-        with GracefulShutdown() as stop:
-            result = run_cluster_chaos_bench(
-                scale=args.scale,
-                level=args.level,
-                n_requests=args.requests,
-                duration_s=args.duration,
-                rate_rps=args.rate,
-                workers=args.workers,
-                max_batch_size=args.batch,
-                max_linger_s=args.linger_ms / 1e3,
-                integrity_check_every=args.integrity_every,
-                seed=args.seed,
-                out_path=args.out,
-                stop_event=stop.event,
-                abft=not args.no_abft,
-                hedge=not args.no_hedge,
-                ipc_faults=not args.no_ipc_faults,
-                dashboard_port=args.dashboard,
-            )
-        print(render_cluster_chaos_table(result))
-        if args.out:
-            print(f"\n[written {args.out}]")
-        _interrupt_note(stop)
-        return 0
-    from .serve.chaos import render_chaos_table, run_chaos_bench
-    with GracefulShutdown() as stop:
-        result = run_chaos_bench(
-            scale=args.scale,
-            level=args.level,
-            n_requests=args.requests,
-            duration_s=args.duration,
-            rate_rps=args.rate,
-            max_batch_size=args.batch,
-            max_linger_s=args.linger_ms / 1e3,
-            integrity_check_every=args.integrity_every,
-            seed=args.seed,
-            out_path=args.out,
-            trace_out=args.trace_out,
-            stop_event=stop.event,
-            abft=not args.no_abft,
-            dashboard_port=args.dashboard,
-        )
-    print(render_chaos_table(result))
-    if args.out:
-        print(f"\n[written {args.out}]")
-    if args.trace_out:
-        trace = result.get("trace", {})
-        print(f"[written {args.trace_out}: {trace.get('events', 0)} span "
-              "events — load at https://ui.perfetto.dev]")
-    _interrupt_note(stop)
-    return 0
+def _worker_counts(text: str) -> list:
+    """``--workers 1,2,4``: the scaling-curve worker counts."""
+    return [int(w) for w in text.split(",") if w.strip()]
 
 
 def _cmd_dashboard(args) -> int:
@@ -413,8 +266,8 @@ def _cmd_dashboard(args) -> int:
     engine = None
     cluster = None
     if args.cluster:
-        from .cluster.bench import worker_layout
-        from .cluster.cluster import ClusterConfig, ServingCluster
+        from .cluster.cluster import (ClusterConfig, ServingCluster,
+                                      worker_layout)
         n_shards, replicas = worker_layout(args.workers, len(networks))
         cluster = ServingCluster(
             networks,
@@ -670,50 +523,10 @@ def main(argv=None) -> int:
     p_obs.add_argument("--repeats", type=int, default=3,
                        help="timed repetitions per ISS measurement")
     p_obs.add_argument("--requests", type=int, default=150,
-                       help="requests per serve-bench leg")
+                       help="requests per serve leg")
     p_obs.add_argument("--seed", type=int, default=2020)
     p_obs.add_argument("--out", default="BENCH_obs.json",
                        help="JSON results path ('' to skip writing)")
-
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="benchmark the batched inference runtime under Poisson load")
-    p_serve.add_argument("--requests", type=int, default=400,
-                         help="number of requests to generate")
-    p_serve.add_argument("--rate", type=float, default=None,
-                         help="offered load in req/s (default: 8x the "
-                              "measured sequential baseline)")
-    p_serve.add_argument("--level", choices=list("abcde"), default="e")
-    p_serve.add_argument("--scale", type=int, default=None,
-                         help="suite down-scale factor (default: "
-                              "REPRO_SCALE or 4)")
-    p_serve.add_argument("--batch", type=int, default=16,
-                         help="max dynamic batch size")
-    p_serve.add_argument("--linger-ms", type=float, default=2.0,
-                         help="max batching linger in milliseconds")
-    p_serve.add_argument("--timeout-ms", type=float, default=10000.0,
-                         help="per-request deadline in milliseconds")
-    p_serve.add_argument("--seed", type=int, default=2020)
-    p_serve.add_argument("--traffic",
-                         choices=["poisson", "diurnal", "bursty",
-                                  "diurnal-bursty"],
-                         default="poisson",
-                         help="arrival process shape (default: poisson)")
-    p_serve.add_argument("--tenants", type=int, default=0,
-                         help="multi-tenant mode: number of tenants with "
-                              "per-tenant network mixes (0 = uniform)")
-    p_serve.add_argument("--cluster", action="store_true",
-                         help="run against the process-sharded cluster "
-                              "instead (alias for cluster-bench)")
-    p_serve.add_argument("--workers", default=None,
-                         help="with --cluster: comma-separated worker "
-                              "counts (default: 1,2,4,8)")
-    p_serve.add_argument("--dashboard", type=int, default=None,
-                         metavar="PORT",
-                         help="serve the live web control plane on "
-                              "this port for the duration of the run")
-    p_serve.add_argument("--out", default="BENCH_serve.json",
-                         help="JSON results path ('' to skip writing)")
 
     p_aot = sub.add_parser(
         "aot-bench",
@@ -731,72 +544,73 @@ def main(argv=None) -> int:
     p_aot.add_argument("--out", default="BENCH_aot.json",
                        help="JSON results path ('' to skip writing)")
 
+    # The flags every load bench (serve, cluster, chaos) shares.
+    load = argparse.ArgumentParser(add_help=False)
+    load.add_argument("--requests", type=int,
+                      help="number of requests per pass")
+    load.add_argument("--rate", type=float, default=None,
+                      help="offered load in req/s (default: 8x the "
+                           "measured sequential throughput; chaos-bench: "
+                           "--requests over --duration)")
+    load.add_argument("--level", choices=list("abcde"), default="e")
+    load.add_argument("--scale", type=int, default=None,
+                      help="suite down-scale factor (default: "
+                           "REPRO_SCALE or 4)")
+    load.add_argument("--batch", type=int, default=16,
+                      help="max dynamic batch size (per replica)")
+    load.add_argument("--linger-ms", type=float, default=2.0,
+                      help="max batching linger in milliseconds")
+    load.add_argument("--seed", type=int, default=2020)
+    load.add_argument("--out",
+                      help="JSON results path ('' to skip writing)")
+    load.add_argument("--dashboard", type=int, default=None,
+                      metavar="PORT",
+                      help="serve the live web control plane on this "
+                           "port for the duration of the run")
+
+    p_serve = sub.add_parser(
+        "serve-bench", parents=[load],
+        help="benchmark the batched inference runtime under Poisson load")
+    p_serve.set_defaults(requests=400, out="BENCH_serve.json")
+
     p_cluster = sub.add_parser(
-        "cluster-bench",
+        "cluster-bench", parents=[load],
         help="benchmark the process-sharded serving cluster "
              "(worker-count scaling curve)")
-    p_cluster.add_argument("--requests", type=int, default=400,
-                           help="number of requests per pass")
-    p_cluster.add_argument("--rate", type=float, default=None,
-                           help="offered load in req/s (default: 8x the "
-                                "measured sequential baseline)")
-    p_cluster.add_argument("--workers", default="1,2,4,8",
+    p_cluster.set_defaults(requests=400, out="BENCH_serve.json")
+    p_cluster.add_argument("--workers", type=_worker_counts,
+                           default="1,2,4,8",
                            help="comma-separated worker counts for the "
                                 "scaling curve (default: 1,2,4,8)")
-    p_cluster.add_argument("--level", choices=list("abcde"), default="e")
-    p_cluster.add_argument("--scale", type=int, default=None,
-                           help="suite down-scale factor (default: "
-                                "REPRO_SCALE or 4)")
-    p_cluster.add_argument("--batch", type=int, default=16,
-                           help="max dynamic batch size per replica")
-    p_cluster.add_argument("--linger-ms", type=float, default=2.0,
-                           help="max batching linger in milliseconds")
     p_cluster.add_argument("--capacity", type=int, default=256,
                            help="router per-replica outstanding budget "
                                 "(admission control)")
-    p_cluster.add_argument("--timeout-ms", type=float, default=10000.0,
-                           help="per-request deadline in milliseconds")
     p_cluster.add_argument("--autoscale", action="store_true",
                            help="enable the queue-driven per-shard "
                                 "autoscaler during cluster passes")
-    p_cluster.add_argument("--traffic",
-                           choices=["poisson", "diurnal", "bursty",
-                                    "diurnal-bursty"],
-                           default="poisson",
-                           help="arrival process shape (default: poisson)")
-    p_cluster.add_argument("--tenants", type=int, default=0,
-                           help="multi-tenant mode: number of tenants "
-                                "(0 = uniform)")
-    p_cluster.add_argument("--seed", type=int, default=2020)
-    p_cluster.add_argument("--out", default="BENCH_serve.json",
-                           help="JSON results path ('' to skip writing)")
     p_cluster.add_argument("--trace-out", default=None,
                            help="write one merged Perfetto trace spanning "
                                 "the router and every worker (largest "
                                 "worker count)")
-    p_cluster.add_argument("--dashboard", type=int, default=None,
-                           metavar="PORT",
-                           help="serve the live web control plane on "
-                                "this port for the duration of the run")
+    for p_open in (p_serve, p_cluster):
+        p_open.add_argument("--timeout-ms", type=float, default=10000.0,
+                            help="per-request deadline in milliseconds")
+        p_open.add_argument("--traffic", type=_traffic, default="poisson",
+                            help="arrival process shape: poisson, "
+                                 "diurnal, bursty or diurnal-bursty "
+                                 "(default: poisson)")
+        p_open.add_argument("--tenants", type=int, default=0,
+                            help="multi-tenant mode: number of tenants "
+                                 "with per-tenant network mixes "
+                                 "(0 = uniform)")
 
     p_chaos = sub.add_parser(
-        "chaos-bench",
+        "chaos-bench", parents=[load],
         help="benchmark fault tolerance under a scripted chaos scenario")
-    p_chaos.add_argument("--requests", type=int, default=300,
-                         help="number of requests to generate")
+    p_chaos.set_defaults(requests=300, out="BENCH_chaos.json")
     p_chaos.add_argument("--duration", type=float, default=3.0,
                          help="target run duration in seconds (sets the "
                               "offered rate when --rate is not given)")
-    p_chaos.add_argument("--rate", type=float, default=None,
-                         help="offered load in req/s")
-    p_chaos.add_argument("--level", choices=list("abcde"), default="e")
-    p_chaos.add_argument("--scale", type=int, default=None,
-                         help="suite down-scale factor (default: "
-                              "REPRO_SCALE or 4)")
-    p_chaos.add_argument("--batch", type=int, default=16,
-                         help="max dynamic batch size")
-    p_chaos.add_argument("--linger-ms", type=float, default=2.0,
-                         help="max batching linger in milliseconds")
     p_chaos.add_argument("--integrity-every", type=int, default=5,
                          help="weight-CRC verification cadence in batches")
     p_chaos.add_argument("--cluster", action="store_true",
@@ -806,26 +620,22 @@ def main(argv=None) -> int:
     p_chaos.add_argument("--workers", type=int, default=4,
                          help="total cluster worker processes with "
                               "--cluster (default: 4)")
-    p_chaos.add_argument("--no-abft", action="store_true",
+    p_chaos.add_argument("--no-abft", dest="abft", action="store_false",
                          help="serve with the plain batched model "
                               "(injected SDC then corrupts results "
                               "silently instead of being detected)")
-    p_chaos.add_argument("--no-hedge", action="store_true",
+    p_chaos.add_argument("--no-hedge", dest="hedge", action="store_false",
                          help="--cluster only: disable hedged retries "
                               "and the retry budget")
-    p_chaos.add_argument("--no-ipc-faults", action="store_true",
+    p_chaos.add_argument("--no-ipc-faults", dest="ipc_faults",
+                         action="store_false",
                          help="--cluster only: perfect router<->worker "
                               "pipes (no message-level fault injection)")
-    p_chaos.add_argument("--seed", type=int, default=2020)
-    p_chaos.add_argument("--out", default="BENCH_chaos.json",
-                         help="JSON results path ('' to skip writing)")
     p_chaos.add_argument("--trace-out", default=None,
                          help="write a Perfetto-loadable span trace of "
-                              "the chaos pass (Chrome trace-event JSON)")
-    p_chaos.add_argument("--dashboard", type=int, default=None,
-                         metavar="PORT",
-                         help="serve the live web control plane on "
-                              "this port for the duration of the run")
+                              "the chaos pass (Chrome trace-event JSON; "
+                              "merged over router and workers with "
+                              "--cluster)")
 
     p_dash = sub.add_parser(
         "dashboard",
@@ -922,16 +732,8 @@ def main(argv=None) -> int:
         return _cmd_suite(args)
     if args.command == "profile":
         return _cmd_profile(args)
-    if args.command == "overhead-bench":
-        return _cmd_overhead_bench(args)
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
-    if args.command == "cluster-bench":
-        return _cmd_cluster_bench(args)
-    if args.command == "aot-bench":
-        return _cmd_aot_bench(args)
-    if args.command == "chaos-bench":
-        return _cmd_chaos_bench(args)
+    if args.command in _BENCHES:
+        return _cmd_bench(args)
     if args.command == "dashboard":
         return _cmd_dashboard(args)
     if args.command == "lint":

@@ -21,18 +21,15 @@ front end:
 * :mod:`repro.cluster.metrics` / :mod:`repro.cluster.trace` — fleet
   roll-ups: one metrics registry and one Perfetto timeline across
   router and all workers.
-* :mod:`repro.cluster.bench` — ``repro cluster-bench`` (the
-  1/2/4/8-worker scaling curve) and ``repro chaos-bench --cluster``
-  (scripted faults plus SIGKILL worker deaths).
 
+``repro cluster-bench`` (the worker-count scaling curve) and ``repro
+chaos-bench --cluster`` (scripted faults plus SIGKILL worker deaths)
+drive this package through the one bench harness, :mod:`repro.bench`.
 See ``docs/SERVING.md`` for the architecture walk-through.
 """
 
 from .autoscaler import AutoscalerConfig, AutoscalerPolicy, ScaleDecision
-from .bench import (render_cluster_chaos_table, render_cluster_table,
-                    run_cluster_bench, run_cluster_chaos_bench,
-                    worker_layout)
-from .cluster import ClusterConfig, ServingCluster
+from .cluster import ClusterConfig, ServingCluster, worker_layout
 from .metrics import ClusterMetrics
 from .router import ClusterRequest, ReplicaHandle, Router, ShardPlan
 from .store import SharedWeightStore, StoreBackedRegistry
@@ -45,6 +42,5 @@ __all__ = [
     "ClusterRequest", "ReplicaHandle", "Router", "ShardPlan",
     "SharedWeightStore", "StoreBackedRegistry",
     "WorkerSpec", "worker_main", "merge_traces", "dump_merged_trace",
-    "run_cluster_bench", "run_cluster_chaos_bench", "worker_layout",
-    "render_cluster_table", "render_cluster_chaos_table",
+    "worker_layout",
 ]

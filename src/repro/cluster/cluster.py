@@ -67,7 +67,7 @@ from .store import SharedWeightStore
 from .trace import merge_traces
 from .worker import WorkerSpec, worker_main
 
-__all__ = ["ClusterConfig", "ServingCluster"]
+__all__ = ["ClusterConfig", "ServingCluster", "worker_layout"]
 
 
 @dataclass
@@ -112,6 +112,23 @@ class ClusterConfig:
     @property
     def seed(self) -> int:
         return self.engine.seed
+
+
+def worker_layout(workers: int, n_networks: int) -> tuple:
+    """``(n_shards, replicas_per_shard)`` for a total worker count.
+
+    The shard count is the largest divisor of ``workers`` that does not
+    exceed the network count (a shard must host at least one network),
+    so the product is always exactly ``workers``: 1 -> 1x1, 2 -> 2x1,
+    4 -> 4x1, 8 -> 4x2 on the default four-network suite.
+    """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    n_shards = 1
+    for divisor in range(1, workers + 1):
+        if workers % divisor == 0 and divisor <= n_networks:
+            n_shards = divisor
+    return n_shards, workers // n_shards
 
 
 class _ProcReplica(ReplicaHandle):

@@ -7,8 +7,9 @@ scriptable fault layer the serving engine is hardened against:
 
 * :mod:`repro.faults.plans` — :class:`FaultSpec`/:class:`FaultPlan`,
   the declarative chaos-scenario script (fault kind, target network,
-  activation window in request-sequence space), plus the two injected
-  exception types.
+  activation window in request-sequence space), the two injected
+  exception types and :func:`default_scenario`, the standard script
+  ``chaos-bench`` runs.
 * :mod:`repro.faults.injector` — :class:`FaultInjector`, the engine's
   execution-time chokepoint: SEU bit flips into quantized weights,
   transient/persistent crashes, latency spikes, input corruption,
@@ -19,7 +20,7 @@ scriptable fault layer the serving engine is hardened against:
 
 from .injector import FaultInjector, flip_bit16
 from .plans import (FAULT_KINDS, FaultPlan, FaultSpec, InjectedCrash,
-                    InjectedWorkerDeath)
+                    InjectedWorkerDeath, default_scenario)
 
 __all__ = [
     "FAULT_KINDS",
@@ -28,5 +29,6 @@ __all__ = [
     "FaultSpec",
     "InjectedCrash",
     "InjectedWorkerDeath",
+    "default_scenario",
     "flip_bit16",
 ]

@@ -60,7 +60,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 __all__ = ["FaultSpec", "FaultPlan", "InjectedCrash", "InjectedWorkerDeath",
-           "FAULT_KINDS"]
+           "FAULT_KINDS", "default_scenario"]
 
 FAULT_KINDS = ("bitflip", "crash", "latency", "corrupt", "poison", "kill",
                "sdc")
@@ -172,3 +172,34 @@ class FaultPlan:
 
     def to_dict(self) -> dict:
         return {"specs": [spec.to_dict() for spec in self.specs]}
+
+
+def default_scenario(networks, n_requests: int) -> FaultPlan:
+    """The standard chaos script, scaled to the expected traffic.
+
+    Windows live in per-network request-sequence space (deterministic
+    for a given stream seed).  Four independent fault processes, each on
+    its own network: SEU weight bit-flips, transient batch crashes
+    (recovered by bisect), a persistent crash window (opens the
+    breaker), and latency spikes; then activation SDC on the bit-flip
+    network, which only the ABFT checksums can see.
+    """
+    names = sorted(net.name for net in networks)
+    per_network = max(1, n_requests // max(1, len(names)))
+    w = max(3, per_network // 5)
+
+    def pick(i: int) -> str:
+        return names[i % len(names)]
+
+    return FaultPlan([
+        FaultSpec(kind="bitflip", network=pick(0), start=w, stop=3 * w,
+                  rate=0.5),
+        FaultSpec(kind="crash", network=pick(1), start=w, stop=2 * w,
+                  transient=True),
+        FaultSpec(kind="crash", network=pick(2), start=w,
+                  stop=w + max(3, per_network // 8), transient=False),
+        FaultSpec(kind="latency", network=pick(3), start=w, stop=w + 3,
+                  delay_s=0.02),
+        FaultSpec(kind="sdc", network=pick(0), start=3 * w,
+                  stop=3 * w + max(2, w // 2)),
+    ])

@@ -11,9 +11,10 @@ None`` test.  This bench quantifies both claims:
   full profile built after the run).  The median paired ratio between
   the two uninstrumented legs is the wall-clock measurement noise
   floor; the profiled leg's median ratio is the opt-in cost.
-* **Serve leg** — ``serve-bench`` p99 latency and achieved throughput
-  with no tracer vs. with a :class:`~repro.obs.spans.SpanTracer`
-  attached.
+* **Serve leg** — a ``serve-bench`` engine pass (the one pass runner
+  of :mod:`repro.bench`, offered 8x the sequential throughput): p99
+  latency and achieved throughput with no tracer vs. with a
+  :class:`~repro.obs.spans.SpanTracer` attached.
 * **Dashboard leg** — the same serve bench with the live web control
   plane (:mod:`repro.obs.web`) attached and an external scraper
   polling ``/metrics`` and ``/api/metrics.json`` every 25ms: sampler
@@ -33,8 +34,6 @@ None`` test.  This bench quantifies both claims:
 
 from __future__ import annotations
 
-import json
-import os
 import time
 
 import numpy as np
@@ -172,8 +171,24 @@ def _stage_record_cost_s(iters: int = 100_000,
     return best
 
 
-def _dashboard_serve_leg(scale, level: str, n_requests: int,
-                         seed: int) -> dict:
+def _serve_leg(networks, level: str, requests: int, seed: int,
+               tracer=None, dashboard=None, stop_event=None) -> dict:
+    """One serve-bench engine pass, optionally traced or watched."""
+    from ..bench import EngineTarget, offered_load, run_pass
+    from ..serve.engine import EngineConfig
+
+    stream, _, golden, rate = offered_load(networks, requests, level, seed)
+    target = EngineTarget(networks, EngineConfig(level=level, seed=seed),
+                          tracer=tracer)
+    engine = run_pass(target, stream, rate, golden, seed, timeout_s=10.0,
+                      stop_event=stop_event, dashboard=dashboard)
+    return {key: engine[key] for key in (
+        "p99_s", "p50_s", "achieved_throughput_rps", "completed",
+        "mean_batch_size")}
+
+
+def _dashboard_serve_leg(networks, level: str, requests: int, seed: int,
+                         stop_event=None) -> dict:
     """Serve leg with the web control plane attached and scraped.
 
     A scraper thread polls ``/metrics`` and ``/api/metrics.json``
@@ -191,7 +206,7 @@ def _dashboard_serve_leg(scale, level: str, n_requests: int,
     import urllib.error
     import urllib.request
 
-    from ..serve.loadgen import run_serve_bench
+    from .web import bench_dashboard
 
     probe = socket.socket()
     probe.bind(("127.0.0.1", 0))
@@ -223,65 +238,51 @@ def _dashboard_serve_leg(scale, level: str, n_requests: int,
                                daemon=True)
     scraper.start()
     try:
-        result = run_serve_bench(scale=scale, level=level,
-                                 n_requests=n_requests, seed=seed,
-                                 dashboard_port=port)
+        with bench_dashboard(port, label="overhead-bench") as dashboard:
+            leg = _serve_leg(networks, level, requests, seed,
+                             dashboard=dashboard, stop_event=stop_event)
     finally:
         stop.set()
         scraper.join(timeout=5.0)
-    return {
-        "p99_s": result["latency"]["p99_s"],
-        "p50_s": result["latency"]["p50_s"],
-        "achieved_throughput_rps": result["achieved_throughput_rps"],
-        "completed": result["completed"],
-        "mean_batch_size": result["mean_batch_size"],
-        "scrapes": scrapes["ok"],
-        "scrape_errors": scrapes["errors"],
-    }
-
-
-def _serve_leg(scale, level: str, n_requests: int, seed: int,
-               tracer) -> dict:
-    from ..serve.loadgen import run_serve_bench
-
-    result = run_serve_bench(scale=scale, level=level,
-                             n_requests=n_requests, seed=seed,
-                             tracer=tracer)
-    return {
-        "p99_s": result["latency"]["p99_s"],
-        "p50_s": result["latency"]["p50_s"],
-        "achieved_throughput_rps": result["achieved_throughput_rps"],
-        "completed": result["completed"],
-        "mean_batch_size": result["mean_batch_size"],
-    }
+    return {**leg, "scrapes": scrapes["ok"],
+            "scrape_errors": scrapes["errors"]}
 
 
 def run_overhead_bench(scale: int | None = None, level: str = "e",
-                       engine: str = "interp", network_name: str | None = None,
-                       repeats: int = 3, n_requests: int = 150,
-                       seed: int = 2020,
-                       out_path: str | None = None) -> dict:
+                       engine: str = "interp", network: str | None = None,
+                       repeats: int = 3, requests: int = 150,
+                       seed: int = 2020, out: str | None = None,
+                       stop_event=None) -> dict:
     """Measure instrumented vs. uninstrumented ISS and serve costs.
 
-    Returns the JSON-ready result dict; also writes it to ``out_path``
-    when given.
+    Returns the result in the shared bench schema
+    (:func:`repro.bench.emit`); also writes it to ``out`` when given.
+    ``network`` picks the ISS leg's suite network (default: the
+    largest).
     """
+    from ..bench import emit
+    config = {"scale": scale, "level": level, "engine": engine,
+              "network": network, "repeats": repeats,
+              "requests": requests, "seed": seed, "out": out}
     networks = suite(scale)
-    if network_name is None:
+    by_name = {n.name: n for n in networks}
+    if network is None:
         network = max(networks, key=lambda n: n.input_size * n.timesteps)
+    elif network in by_name:
+        network = by_name[network]
     else:
-        by_name = {n.name: n for n in networks}
-        if network_name not in by_name:
-            raise KeyError(f"unknown network {network_name!r}; suite has "
-                           f"{sorted(by_name)}")
-        network = by_name[network_name]
+        raise KeyError(f"unknown network {network!r}; suite has "
+                       f"{sorted(by_name)}")
+    config["network"] = network.name
 
     iss = _iss_legs(network, level, engine, seed, repeats)
 
-    serve_off = _serve_leg(scale, level, n_requests, seed, tracer=None)
+    legs = dict(level=level, requests=requests, seed=seed,
+                stop_event=stop_event)
+    serve_off = _serve_leg(networks, **legs)
     tracer = SpanTracer(process_name="repro.serve overhead-bench")
-    serve_on = _serve_leg(scale, level, n_requests, seed, tracer=tracer)
-    serve_dash = _dashboard_serve_leg(scale, level, n_requests, seed)
+    serve_on = _serve_leg(networks, tracer=tracer, **legs)
+    serve_dash = _dashboard_serve_leg(networks, **legs)
 
     guard_s = _guard_cost_s()
     rps = serve_off["achieved_throughput_rps"]
@@ -294,18 +295,16 @@ def run_overhead_bench(scale: int | None = None, level: str = "e",
     dash_on_path_pct = (stage_records * record_s / service_s * 100.0
                         if service_s else 0.0)
 
-    result = {
-        "bench": "obs-overhead",
-        "config": {
-            "scale": scale,
-            "level": level,
-            "engine": engine,
-            "network": network.name,
-            "repeats": repeats,
-            "n_requests": n_requests,
-            "seed": seed,
-        },
-        "iss": {
+    p99_overhead = (max(0.0, (serve_on["p99_s"] - serve_off["p99_s"])
+                        / serve_off["p99_s"] * 100.0)
+                    if serve_off["p99_s"] and serve_on["p99_s"] else 0.0)
+    dash_p99_overhead = (
+        max(0.0, (serve_dash["p99_s"] - serve_off["p99_s"])
+            / serve_off["p99_s"] * 100.0)
+        if serve_off["p99_s"] and serve_dash["p99_s"] else 0.0)
+    return emit(
+        "overhead", config,
+        iss={
             "uninstrumented": {"instret_per_s": iss["best_off"]},
             "instrumented": {"instret_per_s": iss["best_profiled"]},
             "instrs_per_run": iss["instrs_per_run"],
@@ -314,26 +313,20 @@ def run_overhead_bench(scale: int | None = None, level: str = "e",
             "noise_floor_pct": iss["off_spread_pct"],
             "profile_overhead_pct": iss["profile_overhead_pct"],
         },
-        "serve": {
+        serve={
             "uninstrumented": serve_off,
             "instrumented": serve_on,
             "trace_events": tracer.n_events,
-            "p99_overhead_pct": (
-                max(0.0, (serve_on["p99_s"] - serve_off["p99_s"])
-                    / serve_off["p99_s"] * 100.0)
-                if serve_off["p99_s"] and serve_on["p99_s"] else 0.0),
+            "p99_overhead_pct": p99_overhead,
         },
         # Dashboard cost: a wall-clock leg with the control plane
         # attached and scraped, plus the structural on-path bound for
         # the always-on stage-histogram records.  The wall-clock p99
         # delta sits inside the noise floor; the structural bound is
         # the number that must stay inside the 2% budget.
-        "dashboard": {
+        dashboard={
             "attached": serve_dash,
-            "p99_overhead_pct": (
-                max(0.0, (serve_dash["p99_s"] - serve_off["p99_s"])
-                    / serve_off["p99_s"] * 100.0)
-                if serve_off["p99_s"] and serve_dash["p99_s"] else 0.0),
+            "p99_overhead_pct": dash_p99_overhead,
             "on_path": {
                 "stage_record_cost_ns": record_s * 1e9,
                 "records_per_request": stage_records,
@@ -347,17 +340,26 @@ def run_overhead_bench(scale: int | None = None, level: str = "e",
         # guard count, over per-request service time.  Far below the
         # wall-clock noise floor (iss.noise_floor_pct), which is why a
         # direct A/B cannot measure it.
-        "off_path": {
+        off_path={
             "guard_cost_ns": guard_s * 1e9,
             "guards_per_request": _GUARDS_PER_REQUEST,
             "service_time_us": service_s * 1e6,
         },
-        "overhead_off_pct": off_pct,
-    }
-    if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(directory, exist_ok=True)
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-    return result
+        overhead_off_pct=off_pct,
+        summary={
+            "iss_instret_per_s": iss["best_off"],
+            "iss_profiled_instret_per_s": iss["best_profiled"],
+            "profile_overhead_pct": iss["profile_overhead_pct"],
+            "iss_noise_floor_pct": iss["off_spread_pct"],
+            "serve_p99_off_s": serve_off["p99_s"],
+            "serve_p99_traced_s": serve_on["p99_s"],
+            "serve_p99_dashboard_s": serve_dash["p99_s"],
+            "trace_events": tracer.n_events,
+            "dashboard_scrapes": serve_dash["scrapes"],
+            "stage_records_per_request": stage_records,
+            "stage_record_cost_ns": record_s * 1e9,
+            "service_time_us": service_s * 1e6,
+            "dashboard_on_path_pct": dash_on_path_pct,
+            "dashboard_within_budget": dash_on_path_pct <= 2.0,
+            "overhead_off_pct": off_pct,
+        })

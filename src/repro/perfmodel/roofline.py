@@ -14,11 +14,15 @@ capacity planning.
 
 Ceilings come from :func:`calibrate_host`, a two-point microbenchmark of
 the same primitives the fused plans actually use (float64 GEMM for the
-compute roof, large-array copy for the bandwidth roof), so
-achieved-vs-ceiling percentages in ``serve-bench``/``cluster-bench``
-output are honest: an 80%-of-roof network is truly compute-bound on this
-host, not on a spec sheet.  Pass explicit ``peak_flops``/``bandwidth``
-to pin the ceilings (tests do, for determinism).
+compute roof, large-array copy for the bandwidth roof).  ``aot-bench``
+places each network's best-of-N compiled batch time against its
+ceiling at that batch, so its percentage is a share of what this host
+could do, and it stays at or below 100%.  An open-loop bench cannot be
+placed this way: its completions over elapsed time are the offered
+load, not the network's capacity, so ``serve-bench`` and
+``cluster-bench`` report no roofline.  Pass explicit
+``peak_flops``/``bandwidth`` to pin the ceilings (tests do, for
+determinism).
 """
 
 from __future__ import annotations
@@ -30,8 +34,7 @@ import numpy as np
 from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 
 __all__ = ["network_ops", "network_bytes", "operational_intensity",
-           "calibrate_host", "roofline_point", "roofline_report",
-           "measured_rows_per_call"]
+           "calibrate_host", "roofline_point", "roofline_report"]
 
 #: Bytes per element of the Q3.12 datapath (int16 weights/activations).
 _ELEM_BYTES = 2
@@ -85,18 +88,6 @@ def operational_intensity(network: Network,
     x-position on the roofline."""
     return (rows_per_call * network_ops(network)
             / network_bytes(network, rows_per_call))
-
-
-def measured_rows_per_call(*per_network: dict) -> dict:
-    """Mean rows per model call per network, from one or more engines'
-    ``metrics["per_network"]`` counters (completed over batches)."""
-    completed, batches = {}, {}
-    for counters in per_network:
-        for name, row in counters.items():
-            completed[name] = completed.get(name, 0) + row["completed"]
-            batches[name] = batches.get(name, 0) + row["batches"]
-    return {name: completed[name] / batches[name]
-            for name in batches if batches[name]}
 
 
 _CALIBRATION: dict | None = None

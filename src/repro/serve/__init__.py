@@ -27,29 +27,25 @@ layers a production-shaped runtime on top of the bit-exact golden model:
   (p50/p95/p99), breaker-state gauges, fault/retry/repair counters,
   plus estimated simulated cycles per request from the static
   ``network_trace`` model; dumpable as JSON.
-* :mod:`repro.serve.loadgen` — an open-loop load generator (Poisson,
-  diurnal, Markov-modulated bursty, multi-tenant mixes) and the
-  ``serve-bench`` CLI backend that writes ``BENCH_serve.json``.
-* :mod:`repro.serve.chaos` — the ``chaos-bench`` CLI backend: the same
-  load generator under a scripted :class:`repro.faults.FaultInjector`
-  scenario, reporting availability, goodput vs. the fault-free
-  baseline, breaker recovery and integrity repairs into
-  ``BENCH_chaos.json``.
+* :mod:`repro.serve.loadgen` — the traffic data: reproducible request
+  streams (uniform or multi-tenant mixes), arrival shapes (Poisson,
+  diurnal, Markov-modulated bursty) and the open-loop submission loop.
 * :mod:`repro.serve.shutdown` — :class:`GracefulShutdown`, mapping the
   first SIGINT/SIGTERM to a drain event so interrupted bench runs
   still write partial results.
 
 Scaling this engine beyond one process — sharding, replica balancing,
 worker supervision and autoscaling — lives in :mod:`repro.cluster`.
+The ``serve-bench`` and ``chaos-bench`` commands drive the engine
+through the one bench harness, :mod:`repro.bench`.
 """
 
 from .aot import AotBatchedModel
 from .breaker import BreakerState, CircuitBreaker
-from .chaos import default_scenario, render_chaos_table, run_chaos_bench
 from .engine import (EngineConfig, InferenceEngine, ModelRegistry, Request,
                      RequestStatus)
-from .loadgen import (LoadGenerator, TrafficModel, make_tenant_stream,
-                      run_serve_bench, sequential_baseline)
+from .loadgen import (LoadGenerator, TrafficModel, make_request_stream,
+                      make_tenant_stream)
 from .metrics import Counter, Gauge, LatencyHistogram, ServeMetrics
 from .shutdown import GracefulShutdown
 
@@ -64,12 +60,8 @@ __all__ = [
     "RequestStatus",
     "LoadGenerator",
     "TrafficModel",
+    "make_request_stream",
     "make_tenant_stream",
-    "run_serve_bench",
-    "sequential_baseline",
-    "default_scenario",
-    "render_chaos_table",
-    "run_chaos_bench",
     "GracefulShutdown",
     "Counter",
     "Gauge",

@@ -50,19 +50,17 @@ model.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..fixedpoint.activations import SIG_TABLE, TANH_TABLE
 from ..fixedpoint.lut import pla_apply
-from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network, QuantModel
+from ..nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 from ..obs.metrics import REGISTRY
 
 __all__ = ["AotPlan", "compile_plan", "AotBatchedModel",
-           "build_serving_model", "TANH_LUT", "SIG_LUT", "run_aot_bench",
-           "render_aot_table"]
+           "build_serving_model", "TANH_LUT", "SIG_LUT"]
 
 _FRAC = 12
 
@@ -461,147 +459,3 @@ def build_serving_model(network: Network, params_raw: list,
                         abft: bool = False) -> AotBatchedModel:
     """Build the serving model for one registry entry."""
     return AotBatchedModel(network, params_raw, level=level, abft=abft)
-
-
-# ----------------------------------------------------------------------
-# aot-bench: direct model-level throughput against the scalar oracle.
-# ----------------------------------------------------------------------
-def _bench_model(model, x, repeats: int) -> float:
-    """Best-of-``repeats`` wall time for one ``infer`` call."""
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        model.infer(x)
-        best = min(best, time.perf_counter() - t0)
-    return best
-
-
-def _scalar_pass(network: Network, params_raw: list, rows) -> tuple:
-    """Every row through the scalar :class:`QuantModel`: the stacked
-    outputs and the best per-row wall time."""
-    model = QuantModel(network, params_raw)
-    outputs, best = [], float("inf")
-    for row in rows:
-        t0 = time.perf_counter()
-        model.reset()
-        outputs.append(model.forward(row))
-        best = min(best, time.perf_counter() - t0)
-    return np.stack(outputs), best
-
-
-def run_aot_bench(scale: int | None = None, level: str = "e",
-                  batch_size: int = 16, repeats: int = 5,
-                  fuzz_batches: int = 3, seed: int = 2020,
-                  out_path: str | None = None) -> dict:
-    """Model-level throughput and exactness over the whole suite.
-
-    The open-loop serve bench measures the *system* under an offered
-    load; this bench isolates the compiled model.  One scalar
-    :class:`QuantModel` pass over ``fuzz_batches`` batches of
-    full-range int16 rows per network gives both numbers: the rows the
-    compiled plan must match (``bit_exact``) and the scalar model's
-    best per-row time, against which the plan's best-of-``repeats``
-    batch time gives ``speedup_vs_scalar``.  Results feed the
-    roofline's achieved-vs-ceiling column.
-    """
-    import json
-    import os
-
-    from ..nn.network import init_params, quantize_params
-    from ..perfmodel.roofline import roofline_report
-    from ..rrm.networks import suite
-
-    networks = suite(scale)
-    rng = np.random.default_rng(seed)
-    per_network = {}
-    bit_exact = True
-    total_aot = total_scalar_row = 0.0
-    for network in networks:
-        params = quantize_params(
-            init_params(network, np.random.default_rng(seed)))
-        aot = build_serving_model(network, params, level=level)
-        shape = (network.timesteps, network.input_size)
-        x = rng.integers(-4096, 4096, size=(batch_size,) + shape,
-                         dtype=np.int64)
-        fuzz = rng.integers(-32768, 32768,
-                            size=(fuzz_batches * batch_size,) + shape,
-                            dtype=np.int64)
-        want, t_row = _scalar_pass(network, params, fuzz)
-        got = np.concatenate([aot.infer(fuzz[i:i + batch_size])
-                              for i in range(0, len(fuzz), batch_size)])
-        exact = bool(np.array_equal(got, want))
-        bit_exact = bit_exact and exact
-        t_aot = _bench_model(aot, x, repeats)
-        total_aot += t_aot
-        total_scalar_row += t_row
-        per_network[network.name] = {
-            "bit_exact": exact,
-            "batch_size": batch_size,
-            "aot_s_per_batch": t_aot,
-            "scalar_s_per_row": t_row,
-            "aot_rps": batch_size / t_aot,
-            "scalar_rps": 1.0 / t_row,
-            "speedup_vs_scalar": t_row * batch_size / t_aot,
-        }
-    achieved = {name: row["aot_rps"] for name, row in per_network.items()}
-    result = {
-        "bench": "aot",
-        "config": {"scale": scale, "level": level,
-                   "batch_size": batch_size, "repeats": repeats,
-                   "fuzz_batches": fuzz_batches, "seed": seed},
-        "bit_exact": bit_exact,
-        "per_network": per_network,
-        "total": {
-            "aot_rps": len(networks) * batch_size / total_aot,
-            "scalar_rps": len(networks) / total_scalar_row,
-            "speedup_vs_scalar": total_scalar_row * batch_size / total_aot,
-        },
-        "roofline": roofline_report(networks, achieved_rps=achieved,
-                                    rows_per_call=batch_size),
-    }
-    if out_path:
-        directory = os.path.dirname(os.path.abspath(out_path))
-        os.makedirs(directory, exist_ok=True)
-        with open(out_path, "w") as handle:
-            json.dump(result, handle, indent=2)
-            handle.write("\n")
-    return result
-
-
-def render_aot_table(result: dict) -> str:
-    """Human-readable table for one :func:`run_aot_bench` result."""
-    config = result["config"]
-    lines = [
-        "aot-bench: compiled plans vs the scalar QuantModel "
-        f"(level {config['level']}, batch {config['batch_size']}, "
-        f"best of {config['repeats']})",
-        "",
-    ]
-    header = (f"{'network':<15}{'exact':>6}{'aot rps':>12}"
-              f"{'scalar rps':>12}{'speedup':>9}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, row in result["per_network"].items():
-        lines.append(
-            f"{name:<15}{'yes' if row['bit_exact'] else 'NO':>6}"
-            f"{row['aot_rps']:>12.0f}{row['scalar_rps']:>12.0f}"
-            f"{row['speedup_vs_scalar']:>8.1f}x")
-    lines.append("-" * len(header))
-    total = result["total"]
-    lines.append(
-        f"{'TOTAL':<15}{'yes' if result['bit_exact'] else 'NO':>6}"
-        f"{total['aot_rps']:>12.0f}{total['scalar_rps']:>12.0f}"
-        f"{total['speedup_vs_scalar']:>8.1f}x")
-    host = result["roofline"]["host"]
-    lines.append("")
-    lines.append(
-        f"roofline: host peak {host['peak_flops'] / 1e9:.1f} Gop/s, "
-        f"bandwidth {host['bandwidth_bytes_s'] / 1e9:.1f} GB/s, "
-        f"ridge {host['ridge_oi']:.0f} op/B")
-    for name, pt in result["roofline"]["per_network"].items():
-        pct = pt.get("pct_of_ceiling")
-        lines.append(
-            f"  {name:<13}{pt['oi']:>6.1f} op/B  {pt['bound']:>7}-bound"
-            f"  ceiling {pt['ceiling_rps']:>10.0f} rps"
-            + (f"  achieved {pct:.2f}%" if pct is not None else ""))
-    return "\n".join(lines)

@@ -4,8 +4,9 @@ The primitive machinery (``Counter``/``Gauge``/``LatencyHistogram``)
 lives in :mod:`repro.obs.metrics`; this module re-exports it unchanged
 and keeps the serving-specific aggregate, :class:`ServeMetrics` — the
 engine's full metric set (global and per-network) dumped as a
-JSON-ready dict.  ``serve-bench`` writes that dict into
-``BENCH_serve.json`` so the perf trajectory is trackable across PRs.
+JSON-ready dict.  Every engine pass of the benches writes that dict
+into its ``BENCH_*.json`` (``passes.<label>.metrics``), so the perf
+trajectory is trackable across PRs.
 
 :meth:`ServeMetrics.register` additionally exposes every value through
 the unified metrics registry, so one ``REGISTRY.prometheus_text()``

@@ -1,12 +1,12 @@
 """Graceful SIGINT/SIGTERM handling for the benchmark CLIs.
 
-``serve-bench``, ``chaos-bench`` and ``cluster-bench`` can run for a
-while at large scales; killing them with Ctrl-C used to discard every
-measurement already taken.  :class:`GracefulShutdown` converts the
-first SIGINT/SIGTERM into a ``threading.Event`` that the load
-generators poll between arrivals: submission stops, in-flight requests
-settle, engines/clusters drain normally and the partial result — with
-``"interrupted": true`` — is still written to the benchmark JSON.
+The benches can run for a while at large scales; killing them with
+Ctrl-C used to discard every measurement already taken.
+:class:`GracefulShutdown` converts the first SIGINT/SIGTERM into a
+``threading.Event`` that the load generator polls between arrivals:
+submission stops, in-flight requests settle, engines/clusters drain
+normally and the partial result — with ``"interrupted": true`` — is
+still written to the benchmark JSON.
 
 A *second* signal restores the previous handlers and re-raises, so a
 wedged run can still be killed the ordinary way.
@@ -31,7 +31,7 @@ class GracefulShutdown:
     Usage::
 
         with GracefulShutdown() as stop:
-            result = run_serve_bench(..., stop_event=stop.event)
+            result = repro.bench.serve(..., stop_event=stop.event)
         if stop.triggered:
             print("interrupted -- partial results written")
     """

@@ -57,38 +57,22 @@ class TestEmptyHistogramGuards:
         for key in ("mean_s", "min_s", "max_s", "p50_s", "p95_s", "p99_s"):
             assert summary[key] is None
 
-    def test_render_table_dashes_for_idle_network(self):
+    def test_render_dashes_for_idle_network(self):
         # A bench result where one network received zero traffic must
         # render '-' cells instead of crashing on None * 1e3.
-        from repro.serve.loadgen import render_table
-        latency_live = {"count": 2, "mean_s": 0.01, "min_s": 0.01,
-                        "max_s": 0.01, "p50_s": 0.01, "p95_s": 0.01,
-                        "p99_s": 0.01}
-        latency_idle = LatencyHistogram().summary()
-
-        def net(latency, completed):
-            return {"completed": completed, "rejected_timeout": 0,
-                    "rejected_capacity": 0, "sim_cycles": 0,
-                    "latency": latency}
-
+        from repro.bench import render
+        busy = {"completed": 2, "p50_s": 0.01, "p99_s": 0.01}
+        idle = {"completed": 0, "p50_s": None, "p99_s": None}
         result = {
-            "config": {"level": "e", "max_batch_size": 8,
-                       "max_linger_s": 0.002},
-            "metrics": {"per_network": {"busy": net(latency_live, 2),
-                                        "idle": net(latency_idle, 0)},
-                        "total": {"latency": latency_live}},
-            "completed": 2, "submitted": 2,
-            "sim_cycles_per_request": 0,
-            "offered_rate_rps": 1.0,
-            "baseline_sequential": {"throughput_rps": 1.0},
-            "achieved_throughput_rps": 1.0,
-            "speedup_vs_sequential": 1.0,
-            "mean_batch_size": 1.0,
+            "bench": "serve", "config": {"level": "e"},
+            "host": {"cpu_count": 1},
+            "per_network": {"busy": busy, "idle": idle},
+            "summary": {"achieved_throughput_rps": 1.0, "p99_s": None},
         }
-        table = render_table(result)
+        table = render(result)
         idle_row = next(line for line in table.splitlines()
                         if line.startswith("idle"))
-        assert idle_row.count("-") >= 3
+        assert idle_row.split()[1:] == ["0", "-", "-"]
         assert "None" not in table
 
 

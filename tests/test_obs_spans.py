@@ -147,11 +147,10 @@ class TestEngineTracing:
 
 class TestChaosTracing:
     def test_chaos_bench_emits_perfetto_trace(self, tmp_path):
-        from repro.serve.chaos import run_chaos_bench
+        from repro.bench import chaos
         trace_path = tmp_path / "chaos_trace.json"
-        result = run_chaos_bench(scale=4, n_requests=40, duration_s=0.5,
-                                 out_path=None,
-                                 trace_out=str(trace_path))
+        result = chaos(scale=4, requests=40, duration=0.5, out=None,
+                       trace_out=str(trace_path))
         assert result["trace"]["path"] == str(trace_path)
         assert result["trace"]["events"] > 0
         data = json.loads(trace_path.read_text())

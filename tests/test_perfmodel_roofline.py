@@ -12,7 +12,6 @@ from repro.nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 from repro.perfmodel import (calibrate_host, network_bytes, network_ops,
                              operational_intensity, roofline_point,
                              roofline_report)
-from repro.perfmodel.roofline import measured_rows_per_call
 from repro.rrm.networks import FULL_SUITE
 
 _DENSE = Network("d", (DenseSpec(8, 4, "relu"),), timesteps=1)
@@ -131,12 +130,6 @@ class TestReport:
         assert rep["per_network"][first]["rows_per_call"] == 16
         assert rep["per_network"][second]["rows_per_call"] == 1
 
-    def test_measured_rows_per_call_pools_engines(self):
-        a = {"x": {"completed": 30, "batches": 3},
-             "y": {"completed": 0, "batches": 0}}
-        b = {"x": {"completed": 10, "batches": 2}}
-        assert measured_rows_per_call(a, b) == {"x": 40 / 5}
-
     def test_calibration_shape_and_cache(self):
         cal = calibrate_host()
         assert cal["peak_flops"] > 0
@@ -150,9 +143,8 @@ class TestAotBenchWithinCeiling:
     def test_no_network_above_its_ceiling(self):
         # At batch 64 the weights are shared by 64 rows; charged once
         # per row instead, paper-scale networks read up to 180%.
-        from repro.serve.aot import run_aot_bench
-        result = run_aot_bench(scale=1, batch_size=64, repeats=2,
-                               fuzz_batches=1)
+        from repro.bench import aot
+        result = aot(scale=1, batch=64, repeats=2, fuzz_batches=1)
         for name, point in result["roofline"]["per_network"].items():
             assert point["rows_per_call"] == 64
             assert 0 < point["pct_of_ceiling"] <= 100.0, name

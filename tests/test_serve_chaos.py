@@ -4,9 +4,9 @@ on a small scripted scenario (the full default scenario runs under
 
 import json
 
-from repro.faults import FaultPlan, FaultSpec
+from repro import bench
+from repro.faults import FaultPlan, FaultSpec, default_scenario
 from repro.rrm.networks import suite
-from repro.serve.chaos import default_scenario, run_chaos_bench
 
 NAMES = sorted(net.name for net in suite(4))
 
@@ -21,47 +21,48 @@ SCENARIO = FaultPlan([
 ])
 
 
-def _run(out_path=None):
-    return run_chaos_bench(scale=4, n_requests=80, duration_s=0.8,
-                           integrity_check_every=1, seed=2020,
-                           scenario=SCENARIO, out_path=out_path)
+def _run(out=None):
+    return bench.chaos(scale=4, requests=80, duration=0.8,
+                       integrity_every=1, seed=2020, plan=SCENARIO,
+                       out=out)
 
 
 class TestChaosBench:
     def test_acceptance_and_artifact(self, tmp_path):
         out = tmp_path / "BENCH_chaos.json"
-        result = _run(out_path=str(out))
+        result = _run(out=str(out))
+        chaos = result["passes"]["chaos"]
 
         # -- availability: non-rejected requests complete bit-exactly.
-        assert result["chaos"]["submitted"] == 80
-        assert result["availability"] >= 0.90
-        assert result["chaos"]["incorrect"] == 0  # repaired, never wrong
-        assert result["goodput_rps"] > 0
+        assert chaos["submitted"] == 80
+        assert chaos["availability"] >= 0.90
+        assert chaos["incorrect"] == 0  # repaired, never wrong
+        assert chaos["goodput_rps"] > 0
 
         # -- faults actually fired, and the guard repaired the weights.
-        assert result["faults"]["by_kind"].get("bitflip", 0) >= 1
-        assert result["faults"]["by_kind"].get("crash", 0) >= 1
-        assert result["integrity_repairs"] >= 1
-        assert result["integrity"]["checks"] > 0
+        assert chaos["faults"]["by_kind"].get("bitflip", 0) >= 1
+        assert chaos["faults"]["by_kind"].get("crash", 0) >= 1
+        assert chaos["resilience"]["integrity_repairs"] >= 1
+        assert chaos["resilience"]["integrity_checks"] > 0
 
         # -- the persistent-crash breaker opened and re-closed.
-        assert result["breakers"]["opens"] >= 1
-        assert result["all_breakers_reclosed"]
-        for durations in result["breakers"]["recovery_s"].values():
+        assert chaos["breakers"]["opens"] >= 1
+        assert chaos["breakers"]["all_reclosed"]
+        for durations in chaos["breakers"]["recovery_s"].values():
             assert all(d >= 0 for d in durations)
 
         # -- the artifact on disk is the result, JSON-clean.
-        written = json.loads(out.read_text())
-        assert written["fault_log_sha256"] == result["fault_log_sha256"]
-        assert written["availability"] == result["availability"]
+        written = json.loads(out.read_text())["passes"]["chaos"]
+        assert (written["faults"]["log_sha256"]
+                == chaos["faults"]["log_sha256"])
+        assert written["availability"] == chaos["availability"]
 
     def test_identical_seed_identical_fault_sequence(self):
-        first = _run()
-        second = _run()
-        assert first["faults"]["log"] == second["faults"]["log"]
-        assert (first["fault_log_sha256"]
-                == second["fault_log_sha256"])
-        assert first["faults"]["by_kind"] == second["faults"]["by_kind"]
+        first = _run()["passes"]["chaos"]["faults"]
+        second = _run()["passes"]["chaos"]["faults"]
+        assert first["log"] == second["log"]
+        assert first["log_sha256"] == second["log_sha256"]
+        assert first["by_kind"] == second["by_kind"]
 
     def test_default_scenario_shape(self):
         networks = suite(4)

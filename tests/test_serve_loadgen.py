@@ -1,16 +1,15 @@
-"""Load generator, serve-bench driver, and the serve-bench CLI."""
+"""Load generator, the serve-bench driver and the serve-bench CLI."""
 
 import json
 
 import numpy as np
 import pytest
 
+from repro import bench
 from repro.cli import main
 from repro.rrm.networks import suite
 from repro.serve.engine import InferenceEngine
-from repro.serve.loadgen import (LoadGenerator, make_request_stream,
-                                 render_table, run_serve_bench,
-                                 sequential_baseline)
+from repro.serve.loadgen import LoadGenerator, make_request_stream
 
 NETWORKS = suite(4)
 
@@ -41,44 +40,26 @@ class TestStream:
             LoadGenerator(engine, rate_rps=0.0)
 
 
-class TestBaseline:
-    def test_sequential_baseline_counts(self):
-        engine = InferenceEngine(networks=NETWORKS)
-        stream = make_request_stream(NETWORKS, 10, seed=2)
-        baseline = sequential_baseline(engine, stream)
-        assert baseline["requests"] == 10
-        assert baseline["elapsed_s"] > 0
-        assert baseline["throughput_rps"] > 0
-
-
 class TestServeBench:
     def test_bench_writes_json_and_beats_sequential(self, tmp_path):
         out = tmp_path / "BENCH_serve.json"
-        result = run_serve_bench(scale=4, n_requests=120,
-                                 out_path=str(out))
+        result = bench.serve(scale=4, requests=120, out=str(out))
         assert out.exists()
         on_disk = json.loads(out.read_text())
         assert on_disk["bench"] == "serve"
-        assert on_disk["submitted"] == 120
-        assert (result["completed"]
-                + result["rejected_timeout"]
-                + result["rejected_capacity"]
-                + result["metrics"]["total"]["failed"]) == 120
+        engine = result["passes"]["engine"]
+        assert on_disk["passes"]["engine"]["submitted"] == 120
+        assert (engine["completed"]
+                + engine["rejected_timeout"]
+                + engine["rejected_capacity"]
+                + engine["metrics"]["total"]["failed"]) == 120
         # The point of the subsystem: batched serving must outrun the
         # sequential per-sample baseline on the same request stream.
-        assert result["achieved_throughput_rps"] > \
-            result["baseline_sequential"]["throughput_rps"]
-        assert result["mean_batch_size"] > 1.0
-        assert result["latency"]["p99_s"] >= result["latency"]["p50_s"]
-        assert result["sim_cycles_total"] > 0
-
-    def test_render_table_mentions_every_network(self):
-        result = run_serve_bench(scale=4, n_requests=60)
-        table = render_table(result)
-        for network in NETWORKS:
-            assert network.name in table
-        assert "achieved throughput" in table
-        assert "sequential baseline" in table
+        assert engine["achieved_throughput_rps"] > \
+            result["sequential"]["throughput_rps"]
+        assert engine["mean_batch_size"] > 1.0
+        assert engine["p99_s"] >= engine["p50_s"]
+        assert engine["metrics"]["total"]["sim_cycles"] > 0
 
 
 class TestCli:
@@ -88,6 +69,6 @@ class TestCli:
                      "--out", str(out)]) == 0
         printed = capsys.readouterr().out
         assert "achieved throughput" in printed
-        assert "sequential baseline" in printed
+        assert "sequential rps" in printed
         data = json.loads(out.read_text())
-        assert data["submitted"] == 60
+        assert data["passes"]["engine"]["submitted"] == 60

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 
+from repro.bench import account
 from repro.rrm.networks import suite
 from repro.serve.loadgen import LoadGenerator, make_request_stream
 from repro.serve.shutdown import GracefulShutdown
@@ -52,12 +53,19 @@ class TestGracefulShutdown:
         assert stop.signal_name is None
 
 
+_OUTPUT = np.zeros(1)
+
+
 class _SlowEngine:
     """Settles instantly but lets arrival pacing dominate the run."""
 
     class _Request:
+        network = "net"
         status = "done"
         ok = True
+        output = _OUTPUT
+        latency = 0.001
+        error = None
 
         def wait(self, timeout=None):
             return True
@@ -85,17 +93,19 @@ class TestPartialBench:
 
         plug = threading.Thread(target=pull_plug)
         plug.start()
-        summary = generator.run(stream)
+        summary = account(generator.run(stream), [_OUTPUT] * len(stream))
         plug.join()
         assert summary["interrupted"] is True
         # Partial but valid: whatever was submitted is fully accounted.
         assert 5 <= summary["submitted"] < 100
         assert summary["completed"] == summary["submitted"]
+        assert summary["correct"] == summary["submitted"]
 
     def test_no_stop_event_runs_to_completion(self):
         engine = _SlowEngine()
         generator = LoadGenerator(engine, rate_rps=100_000.0, seed=1)
-        summary = generator.run(make_request_stream(NETWORKS, 25))
+        summary = account(generator.run(make_request_stream(NETWORKS, 25)),
+                          [_OUTPUT] * 25)
         assert summary["interrupted"] is False
         assert summary["submitted"] == 25
 
@@ -105,7 +115,8 @@ class TestPartialBench:
         engine = _SlowEngine()
         generator = LoadGenerator(engine, rate_rps=100.0,
                                   stop_event=stop)
-        summary = generator.run(make_request_stream(NETWORKS, 10))
+        summary = account(generator.run(make_request_stream(NETWORKS, 10)),
+                          [_OUTPUT] * 10)
         assert summary["interrupted"] is True
         assert summary["submitted"] == 0
         assert np.isfinite(summary["elapsed_s"])
