@@ -1,17 +1,20 @@
 """Benchmark: raw ISS simulation throughput (simulator health metric).
 
-Two workloads bracket the engine design space:
+Three workloads bracket the engine design space:
 
 * *turbo-hot* — a long hardware loop with statically resolvable strides,
   exactly the shape ``repro.core.turbo`` compiles into fused numpy
   kernels.
 * *interpreter-hot* — short, branchy scalar code below the turbo
   profitability thresholds, where both engines run the same compiled
-  closures.
+  closures (asserted: no vector window runs).
+* *tile-e* — the paper's level-e output tile, a 22-instruction
+  ``pl.sdotsp.h`` body at 16 trips: a short loop that must still take
+  the vector path (asserted).
 
-Both engines run both programs; ``BENCH_iss.json`` records the four
-instret/s rates and the turbo speedup on the turbo-hot program (the PR
-acceptance floor is 10x).
+Both engines run every program; ``BENCH_iss.json`` records the
+instret/s rates, each program's turbo vector-window count, and the turbo
+speedups (the acceptance floor is 10x on the turbo-hot program).
 """
 
 import time
@@ -53,10 +56,24 @@ end:
 """
 
 
+_PTRS = ["a0", "a1", "a2", "a3", "a4", "a5", "a6", "a7", "s10", "s11"]
+
+#: Level-e 10-row output tile, 16 trips, entered 50 times.
+TILE_E = "\n".join(
+    ["li t2, 0", "li t3, 50", "outer:"]
+    + [f"li {p}, {0x1000 + 128 * k}" for k, p in enumerate(_PTRS)]
+    + ["li t1, 0x8000", "pl.sdotsp.h.0 x0, a0, x0",
+       "pl.sdotsp.h.1 x0, a1, x0", "lp.setupi 0, 16, end",
+       "p.lw t0, 4(t1!)", "p.lw t4, 4(t1!)"]
+    + [f"pl.sdotsp.h.{seq % 2} s{seq % 10}, {_PTRS[(seq + 2) % 10]}, "
+       f"{'t0' if seq < 10 else 't4'}" for seq in range(20)]
+    + ["end:", "addi t2, t2, 1", "bltu t2, t3, outer", "ebreak"]) + "\n"
+
+
 def _run(program, engine):
     cpu = Cpu(program, Memory(1 << 16), engine=engine)
     cpu.run()
-    return cpu.instret
+    return cpu
 
 
 def _rate(program, engine, min_time=0.3):
@@ -82,30 +99,40 @@ def _rate(program, engine, min_time=0.3):
 
 def test_iss_instructions_per_second(benchmark):
     program = assemble(TURBO_HOT)
-    instret = benchmark(lambda: _run(program, "interp"))
-    assert instret > 3000
+    cpu = benchmark(lambda: _run(program, "interp"))
+    assert cpu.instret > 3000
 
 
 def test_iss_instructions_per_second_turbo(benchmark):
     program = assemble(TURBO_HOT)
-    instret = benchmark(lambda: _run(program, "turbo"))
-    assert instret > 3000
+    cpu = benchmark(lambda: _run(program, "turbo"))
+    assert cpu.instret > 3000
 
 
 def test_iss_throughput_artifact(save_json):
     programs = {"turbo_hot": assemble(TURBO_HOT),
-                "interp_hot": assemble(INTERP_HOT)}
-    # Same retired-instruction count on both engines, by construction.
-    for program in programs.values():
-        assert _run(program, "interp") == _run(program, "turbo")
+                "interp_hot": assemble(INTERP_HOT),
+                "tile_e": assemble(TILE_E)}
+    vector_loops = {}
+    for name, program in programs.items():
+        ref, tur = _run(program, "interp"), _run(program, "turbo")
+        assert (tur.instret, tur.cycles) == (ref.instret, ref.cycles)
+        vector_loops[name] = tur.turbo_stats["vector_loops"]
+    # The brackets hold only while each program takes its intended path.
+    assert vector_loops["interp_hot"] == 0, vector_loops
+    assert vector_loops["turbo_hot"] > 0, vector_loops
+    assert vector_loops["tile_e"] > 0, vector_loops
     rates = {name: {engine: _rate(program, engine)
                     for engine in ("interp", "turbo")}
              for name, program in programs.items()}
     speedup = rates["turbo_hot"]["turbo"] / rates["turbo_hot"]["interp"]
     save_json("BENCH_iss.json", {
         "instret_per_second": rates,
+        "vector_loops": vector_loops,
         "turbo_speedup_turbo_hot": speedup,
         "turbo_speedup_interp_hot":
             rates["interp_hot"]["turbo"] / rates["interp_hot"]["interp"],
+        "turbo_speedup_tile_e":
+            rates["tile_e"]["turbo"] / rates["tile_e"]["interp"],
     })
     assert speedup >= 10.0, f"turbo speedup {speedup:.1f}x below 10x"

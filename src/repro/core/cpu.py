@@ -191,16 +191,26 @@ class Cpu:
             cell[0] = cell[1] = 0
 
     def run(self, entry: int = 0) -> Trace:
-        """Execute from byte address ``entry`` until halt or fall-through.
+        """Execute from byte address ``entry`` until halt or fall-through
+        and return the execution histogram accumulated so far
+        (:meth:`trace`).
 
         Raises :class:`ExecutionLimitExceeded` once this run retires more
         than ``max_instrs`` instructions (a per-run budget: ``instret``
         keeps counting across runs, the budget does not).
         """
+        self.execute(entry)
+        return self.trace()
+
+    def execute(self, entry: int = 0) -> None:
+        """:meth:`run` without building the histogram: for callers that
+        step the core many times and read results from memory (a
+        :class:`Trace` walks every static instruction)."""
         if entry % 4:
             raise SimError("entry point must be word-aligned")
         if self._tcode is not None:
-            return self._run_turbo(entry)
+            self._run_turbo(entry)
+            return
         code = self._code
         hw = self._hw
         size = len(code)
@@ -239,19 +249,18 @@ class Cpu:
                 break
             idx = nxt
         self.instret += executed
-        return self.trace()
 
-    def _run_turbo(self, entry: int = 0) -> Trace:
-        """:meth:`run` against the turbo code table.
+    def _run_turbo(self, entry: int = 0) -> None:
+        """:meth:`execute` against the turbo code table.
 
         Identical to the interpreter loop except that the per-entry code
         table may contain compiled loop kernels that retire many
         instructions per call; those report the extra retirements via
         ``self._xinstret`` so ``instret`` and the budget stay exact.
-        (A kernel checks the budget only between iterations of the
-        *outer* loop, and the dispatch loop folds kernel retirements
-        into its own budget test only every ``_BUDGET_STRIDE``
-        dispatches, so the limit may be detected slightly late — but
+        (A kernel checks the budget after each vector window, the
+        dispatch loop folds kernel retirements into its own budget test
+        only every ``_BUDGET_STRIDE`` dispatches, and once more when
+        the run ends, so the limit may be detected slightly late — but
         never missed.)
         """
         code = self._tcode
@@ -302,8 +311,11 @@ class Cpu:
             if self.halted:
                 break
             idx = nxt
-        self.instret += executed + xi[0] - xstart
-        return self.trace()
+        retired = executed + xi[0] - xstart
+        self.instret += retired
+        if retired > budget:  # kernels retired past it since the last check
+            raise ExecutionLimitExceeded(
+                f"exceeded {self.max_instrs} instructions")
 
     def trace(self) -> Trace:
         """Aggregate per-instruction stats into a display-name histogram."""

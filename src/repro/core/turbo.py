@@ -1,4 +1,4 @@
-"""Turbo execution engine: vectorized loop kernels over the closure ISS.
+"""Turbo execution engine: generated numpy loop kernels over the closure ISS.
 
 ``Cpu(engine="turbo")`` overlays the per-instruction closure table with
 compiled kernels for the program's hot loops:
@@ -7,36 +7,52 @@ compiled kernels for the program's hot loops:
   straight-line basic block of provably safe instructions are executed as
   fused numpy kernels: iteration 0 runs through the ordinary closures (it
   absorbs any dynamic SPR entry stall), then all remaining iterations are
-  evaluated at once — post-increment load chains become gathers, dot
-  products become cumulative sums, PLA activations use a vectorized
-  Algorithm 2 identical to the scalar one.
+  evaluated at once — post-increment load chains become slices of one
+  memory span, dot products become one product-sum, PLA activations use a
+  vectorized Algorithm 2 identical to the scalar one.
 * **Branch-closed loops** (a single block whose terminating branch targets
-  its own start, e.g. the level-a matvec) are solved in chunks: the kernel
-  evaluates a candidate iteration window, finds the first iteration whose
-  branch falls through, and commits exactly that prefix.
+  its own start, e.g. the level-a matvec) are solved in windows: when the
+  exit test compares an affine induction against an invariant the exit
+  iteration is solved in closed form, otherwise the kernel evaluates a
+  candidate window and finds the first iteration whose branch falls
+  through; either way it commits exactly that prefix.
 * **Superblocks** (straight-line blocks outside every loop) are stepped
   through a tight local closure loop, skipping the run loop's per
   instruction bookkeeping.
 
+Each eligible loop body is walked once into a symbolic template and the
+template is lowered to straight-line Python source — one generated
+function per body *shape* (mnemonics, registers, immediates, wait states
+and loop kind), ``exec``-ed once and cached for the process, so the
+unrolled copies of a kernel share one function.  The generated code reads
+each contiguous memory span once as a ``uint32`` array, takes halfword and
+byte operands as ``int16``/``int8`` views, groups isomorphic loads and
+dot-product terms into one 2-D gather and one product-sum, reduces
+accumulators whose only consumer is the final write to one sum, and
+evaluates values that only the final write needs at the last iteration in
+plain Python.
+
 The engine is *bit-exact* and *cycle-exact* against the interpreter: all
-arithmetic is carried out in ``uint64`` and reduced mod 2**32 (masking is a
-ring homomorphism, so sums/products/cumsums commute with it), loads gather
-from the pre-loop memory snapshot and the kernel *bails out* — committing
-nothing and falling back to the closures — whenever it cannot prove the
-absence of aliasing between the loop's stores and its load window, when an
-address leaves memory, or when a store stride would self-overlap.  Cycles
-are charged from the statically known per-instruction costs (the same
-rules :mod:`repro.analysis.cycles` encodes), which the eligibility rules
-make exact: a loop body is only compiled when every cost is static —
-in particular every ``pl.sdotsp`` re-read is provably stall-free.
+arithmetic is carried out in ``int64`` and reduced mod 2**32 (masking is a
+ring homomorphism, so sums/products commute with it), loads read the
+pre-loop memory snapshot and the kernel *bails out* — committing nothing
+and falling back to the closures — whenever it cannot prove the absence of
+aliasing between the loop's stores and its load window, when an address
+leaves memory, or when a store stride would self-overlap.  Cycles are
+charged from the statically known per-instruction costs (the same rules
+:mod:`repro.analysis.cycles` encodes), which the eligibility rules make
+exact: a loop body is only compiled when every cost is static — in
+particular every ``pl.sdotsp`` re-read is provably stall-free.
 
 Eligibility is decided per loop at ``Cpu`` construction (cached on the
 :class:`~repro.isa.program.Program`); anything unprovable — irregular
-control flow, CSRs, ``ebreak``, divisions, unresolvable loop-carried
-dependencies — simply keeps its interpreter closures.  See docs/TIMING.md.
+control flow, CSRs, ``ebreak``, unresolvable loop-carried dependencies —
+simply keeps its interpreter closures.  See docs/TIMING.md.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 
@@ -45,8 +61,8 @@ from ..isa.instructions import Fmt, reads_mask
 from ..obs.metrics import REGISTRY
 from .cpu import (
     ALU_OPS, _DIV_OPS, _M32, _PLA_FRAC, _PLA_N, _PLA_ONE, _PLA_SHIFT,
-    _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _dot2h, _dot4b, _pla_scalar,
-    _signed32, DIV_CYCLES,
+    _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _bytes4, _dot2h, _dot4b, _halves,
+    _pla_scalar, _signed32, DIV_CYCLES,
 )
 from .exceptions import ExecutionLimitExceeded, MemoryError32
 
@@ -54,12 +70,12 @@ __all__ = ["build_turbo_code", "analyze_program"]
 
 #: Iteration counts at or below this stay on the interpreter.
 MIN_VEC = 4
-#: Vectorize a loop only when iterations x body length clears this:
-#: below it the fixed numpy setup cost of a window outweighs closures.
-VEC_MIN_WORK = 512
-#: ... and only when the iteration count alone clears this: numpy's
-#: per-node fixed cost is amortized across iterations, not body length.
-VEC_MIN_ITERS = 48
+#: Vectorize a loop only when its trip count clears this ...
+VEC_MIN_ITERS = 8
+#: ... and trip count x body length clears this: below either, the
+#: fixed cost of one generated-kernel window (about 15-40 us) outweighs
+#: the closures it replaces (about 0.3-0.6 us per instruction).
+VEC_MIN_WORK = 96
 #: Default first solve window for branch-closed loops (adapted per loop).
 CHUNK0 = 256
 #: Largest iteration window evaluated as one numpy chunk.
@@ -77,7 +93,8 @@ _MASK = np.uint64(0xFFFFFFFF)
 #: hot and must not pay the family's label lookup.
 _TURBO_EVENTS = REGISTRY.counter(
     "iss_turbo_events_total",
-    "Turbo-engine analysis, plan-cache and runtime-bail events.",
+    "Turbo-engine analysis, plan-cache, kernel-cache and runtime-bail "
+    "events.",
     ("event",))
 _BAILS = _TURBO_EVENTS.labels(event="bail")
 
@@ -91,17 +108,14 @@ class _Unsupported(Exception):
 
 
 # ----------------------------------------------------------------------
-# Vectorized op table (uint64 arrays, every result masked to 32 bits)
+# Vector ops without a direct int64 lowering (uint64 arrays, every result
+# masked to 32 bits); generated kernels call them through uint64 views.
 # ----------------------------------------------------------------------
 def _vs(a):
     """Signed (int64) view of masked uint64 values."""
     a = a & _MASK
     return a.astype(np.int64) - \
         (((a >> _U64(31)) & _U64(1)).astype(np.int64) << np.int64(32))
-
-
-def _vu(x):
-    return _U64(x & 0xFFFFFFFF)
 
 
 def _vmask_i64(v):
@@ -118,44 +132,9 @@ def _vhalves(a):
     return lo, hi
 
 
-def _vbytes(a):
-    out = []
-    for shift in (0, 8, 16, 24):
-        b = ((a >> _U64(shift)) & _U64(0xFF)).astype(np.int64)
-        out.append(b - ((b & 0x80) << 1))
-    return out
-
-
-def _v_dot2h(a, b, i):
-    a0, a1 = _vhalves(a)
-    b0, b1 = _vhalves(b)
-    return _vmask_i64(a0 * b0 + a1 * b1)
-
-
-def _v_dot4b(a, b, i):
-    av, bv = _vbytes(a), _vbytes(b)
-    acc = av[0] * bv[0]
-    for x, y in zip(av[1:], bv[1:]):
-        acc = acc + x * y
-    return _vmask_i64(acc)
-
-
 def _v_pack(lo, hi):
     return (((hi & np.int64(0xFFFF)) << np.int64(16))
             | (lo & np.int64(0xFFFF))).astype(_U64)
-
-
-def _v_sra(a, b, i):
-    sh = (b & _U64(31)).astype(np.int64)
-    return _vmask_i64(_vs(a) >> sh)
-
-
-def _v_clip(a, b, i):
-    v = _vs(a)
-    if i == 0:
-        return np.where(v > 0, _U64(0), a & _MASK)
-    lo, hi = -(1 << (i - 1)), (1 << (i - 1)) - 1
-    return _vmask_i64(np.clip(v, lo, hi))
 
 
 # RISC-V M division semantics, vectorized.  Divide-by-zero is handled
@@ -197,29 +176,6 @@ def _v_remu(a, b, i):
 
 
 _VOPS = {
-    "addi": lambda a, b, i: (a + _vu(i)) & _MASK,
-    "slti": lambda a, b, i: (_vs(a) < np.int64(i)).astype(_U64),
-    "sltiu": lambda a, b, i: ((a & _MASK) < _vu(i)).astype(_U64),
-    "xori": lambda a, b, i: (a ^ _vu(i)) & _MASK,
-    "ori": lambda a, b, i: (a | _vu(i)) & _MASK,
-    "andi": lambda a, b, i: (a & _vu(i)) & _MASK,
-    "slli": lambda a, b, i: (a << _vu(i)) & _MASK,
-    "srli": lambda a, b, i: (a & _MASK) >> _vu(i),
-    "srai": lambda a, b, i: _vmask_i64(_vs(a) >> np.int64(i)),
-    "add": lambda a, b, i: (a + b) & _MASK,
-    "sub": lambda a, b, i: (a - b) & _MASK,
-    "sll": lambda a, b, i: (a << (b & _U64(31))) & _MASK,
-    "slt": lambda a, b, i: (_vs(a) < _vs(b)).astype(_U64),
-    "sltu": lambda a, b, i: ((a & _MASK) < (b & _MASK)).astype(_U64),
-    "xor": lambda a, b, i: (a ^ b) & _MASK,
-    "srl": lambda a, b, i: (a & _MASK) >> (b & _U64(31)),
-    "sra": _v_sra,
-    "or": lambda a, b, i: (a | b) & _MASK,
-    "and": lambda a, b, i: (a & b) & _MASK,
-    "mul": lambda a, b, i: (a * b) & _MASK,
-    "macterm": lambda a, b, i: _vmask_i64(_vs(a) * _vs(b)),
-    "dot2h": _v_dot2h,
-    "dot4b": _v_dot4b,
     "pv.add.h": lambda a, b, i: _v_pack(*[x + y for x, y in
                                           zip(_vhalves(a), _vhalves(b))]),
     "pv.sub.h": lambda a, b, i: _v_pack(*[x - y for x, y in
@@ -231,20 +187,20 @@ _VOPS = {
     "pv.pack.h": lambda a, b, i: (((b & _U64(0xFFFF)) << _U64(16))
                                   | (a & _U64(0xFFFF))),
     "pv.extract.h": lambda a, b, i: _vmask_i64(_vhalves(a)[i & 1]),
-    "p.abs": lambda a, b, i: _vmask_i64(np.abs(_vs(a))),
-    "p.min": lambda a, b, i: np.where(_vs(a) < _vs(b), a, b) & _MASK,
-    "p.max": lambda a, b, i: np.where(_vs(a) > _vs(b), a, b) & _MASK,
-    "p.minu": lambda a, b, i: np.minimum(a & _MASK, b & _MASK),
-    "p.maxu": lambda a, b, i: np.maximum(a & _MASK, b & _MASK),
-    "p.clip": _v_clip,
-    "p.exths": lambda a, b, i: ((a & _U64(0xFFFF))
-                                | np.where((a & _U64(0x8000)) != 0,
-                                           _U64(0xFFFF0000), _U64(0))),
     "div": _v_div,
     "divu": _v_divu,
     "rem": _v_rem,
     "remu": _v_remu,
 }
+
+#: ALU mnemonics (and accumulator pseudo-ops) lowered directly to int64
+#: numpy expressions by :class:`_Lower`.
+_DIRECT = frozenset({
+    "addi", "slti", "sltiu", "xori", "ori", "andi", "slli", "srli", "srai",
+    "add", "sub", "sll", "slt", "sltu", "xor", "srl", "sra", "or", "and",
+    "mul", "macterm", "dot2h", "dot4b", "p.abs", "p.min", "p.max", "p.minu",
+    "p.maxu", "p.clip", "p.exths",
+})
 
 #: Scalar semantics for the pseudo-mnemonics above (real mnemonics reuse
 #: :data:`repro.core.cpu.ALU_OPS` so scalar paths are the interpreter's).
@@ -254,38 +210,10 @@ _SCALAR_EXTRA = {
     "dot4b": lambda a, b, i: _dot4b(a, b) & _M32,
 }
 
-_BROPS = {
-    "beq": lambda a, b: a == b,
-    "bne": lambda a, b: a != b,
-    "blt": lambda a, b: _vs(a) < _vs(b),
-    "bge": lambda a, b: _vs(a) >= _vs(b),
-    "bltu": lambda a, b: (a & _MASK) < (b & _MASK),
-    "bgeu": lambda a, b: (a & _MASK) >= (b & _MASK),
-}
-
 _TANH_M_V = np.array(_TANH_M, dtype=np.int64)
 _TANH_Q_V = np.array(_TANH_Q, dtype=np.int64)
 _SIG_M_V = np.array(_SIG_M, dtype=np.int64)
 _SIG_Q_V = np.array(_SIG_Q, dtype=np.int64)
-
-
-def _pla_vec(x, is_sig):
-    """Vector Algorithm 2, bit-identical to ``cpu._pla_scalar``."""
-    slopes = _SIG_M_V if is_sig else _TANH_M_V
-    offsets = _SIG_Q_V if is_sig else _TANH_Q_V
-    xs = _vs(x)
-    neg = xs < 0
-    mag = np.where(neg, -xs, xs)
-    idx = mag >> np.int64(_PLA_SHIFT)
-    inb = idx < _PLA_N
-    idxc = np.where(inb, idx, 0)
-    y = ((slopes[idxc] * mag) >> np.int64(_PLA_FRAC)) + offsets[idxc]
-    y = np.where(inb, y, np.int64(_PLA_ONE))
-    y = np.where(neg, -y, y)
-    if is_sig:
-        y = np.where(neg, np.int64(_PLA_ONE) + y, y)
-    y = np.clip(y, -32768, 32767)
-    return _vmask_i64(y)
 
 
 # ----------------------------------------------------------------------
@@ -295,7 +223,7 @@ def _pla_vec(x, is_sig):
 #   ("regin", r)                — value of reg r at iteration start
 #   ("slotin", addr)            — carried value of memory word `addr`
 #   ("sum", root, terms, c)     — root + sum(terms) + c (root may be None)
-#   ("alu", m, a, b, imm)       — op from _VOPS
+#   ("alu", m, a, b, imm)       — ALU op m (see _DIRECT and _VOPS)
 #   ("load", addr, size, sgn)   — memory gather from the loop-entry snapshot
 #   ("pla", x, is_sig)          — pl.tanh / pl.sig
 #   ("sprin", k, o)             — SPR k value consumed by its o-th reader
@@ -418,7 +346,6 @@ class _Walk:
         self.load_nodes = {}       # addr node -> word load node (promo)
         self.load_pos = {}         # load node -> last body position
         self.stores = []           # (addr_node, value_node, size, pos)
-        self.forced = []           # nodes evaluated for side conditions
         self.spr = {0: [], 1: []}  # SPR k -> ordered load nodes
         self.spr_pos = {0: [], 1: []}
         self.costs = []
@@ -493,7 +420,7 @@ class _Walk:
             self._load(instr, pos)
         elif spec.is_store:
             self._store(instr, pos)
-        elif m in _VOPS:
+        elif m in _DIRECT or m in _VOPS:
             self._setreg(rd, ("alu", m, self._reg(rs1), self._reg(rs2),
                               imm))
         else:
@@ -525,12 +452,9 @@ class _Walk:
             self.load_pos[value] = pos
             if spec.size == 4:
                 self.load_nodes.setdefault(addr, value)
-        if instr.rd:
-            self._setreg(instr.rd, value)
-        else:
-            # x0 destination: value is discarded but the access (and its
-            # out-of-range behaviour) must still happen.
-            self.forced.append(value)
+        # An x0 destination discards the value, but the access (and its
+        # out-of-range behaviour) still happens: every load is checked.
+        self._setreg(instr.rd, value)
         if spec.postinc:
             self.sym[instr.rs1] = _mk_addc(addr, instr.imm)
 
@@ -577,10 +501,10 @@ class _Walk:
         self.slot_loaded = {subkey(k) for k in self.slot_loaded}
         self.load_nodes = {sub(k): sub(v)
                            for k, v in self.load_nodes.items()}
-        self.load_pos = {sub(k): v for k, v in self.load_pos.items()}
+        self.load_pos = {sub(k): v for k, v in self.load_pos.items()
+                         if sub(k)[0] == "load"}
         self.stores = [(sub(a), sub(v), s, p)
                        for a, v, s, p in self.stores]
-        self.forced = [sub(n) for n in self.forced]
         self.spr = {k: [sub(n) for n in v] for k, v in self.spr.items()}
 
     def _pl_sdotsp(self, pos, instr):
@@ -694,8 +618,6 @@ def _finalize(walk, extra_roots=()):
     for occ in walk.spr.values():
         for node in occ:
             scan(node)
-    for node in walk.forced:
-        scan(node)
     for node in extra_roots:
         scan(node)
     for key in walk.slotsym:
@@ -709,270 +631,277 @@ def _finalize(walk, extra_roots=()):
     return res, writes, slots
 
 
+def _aff_stride(anode, res):
+    """Per-iteration stride of an address that is an affine induction
+    (``root`` or ``root + c`` with an ``aff`` root), else None."""
+    if anode[0] in ("regin", "slotin"):
+        root = anode
+    elif anode[0] == "sum" and anode[1] is not None and not anode[2]:
+        root = anode[1]
+    else:
+        return None
+    spec = res[root]
+    return _sext(spec[1]) if spec[0] == "aff" else None
+
+
+def _sext(c):
+    """Signed 32-bit value of ``c`` (mod 2**32)."""
+    return _signed32(c & _M32)
+
+
+def _addends(node):
+    """Root (if any) and terms of a ``sum`` node."""
+    return ([node[1]] if node[1] is not None else []) + list(node[2])
+
+
 # ----------------------------------------------------------------------
-# Runtime evaluation
+# Runtime helpers called by the generated kernels
 # ----------------------------------------------------------------------
-def _arr(v, n):
-    if isinstance(v, np.ndarray):
+_J = np.arange(1 << 16, dtype=np.int64)
+#: Element dtype of a memory access by (size, signed).
+_ELEM = {(4, False): np.uint32, (4, True): np.uint32,
+         (2, True): np.int16, (2, False): np.uint16,
+         (1, True): np.int8, (1, False): np.uint8}
+_LOG2 = {4: 2, 2: 1, 1: 0}
+#: ``array`` typecode of a C uint32.
+_WORD = "I" if array("I").itemsize == 4 else "L"
+#: A load group is read as one memory span while the span is at most
+#: this many times the bytes its members touch (plus a page of slack).
+_DENSE = 2
+
+
+def _iota(n):
+    """``arange(n)`` as int64 (a view for the common short windows)."""
+    return _J[:n] if n <= len(_J) else np.arange(n, dtype=np.int64)
+
+
+def _ld(mem, a, size, signed):
+    """Scalar load of ``size`` bytes at byte address ``a`` (in range)."""
+    word = mem[a >> 2]
+    if size == 4:
+        return word
+    if size == 2:
+        v = (word >> ((a & 2) << 3)) & 0xFFFF
+        if signed and v & 0x8000:
+            v |= 0xFFFF0000
         return v
-    return np.full(n, _vu(int(v)), dtype=_U64)
+    v = (word >> ((a & 3) << 3)) & 0xFF
+    if signed and v & 0x80:
+        v |= 0xFFFFFF00
+    return v
+
+
+def _words(mem, wlo, whi):
+    """Memory words [wlo, whi] as a writable uint32 array (through
+    ``array.array``: about twice as fast as ``np.array`` on a list)."""
+    return np.frombuffer(array(_WORD, mem[wlo:whi + 1]), dtype=np.uint32)
+
+
+def _span(mem, lo, hi, dtype):
+    """Memory bytes [lo, hi], read once as uint32 words, as ``dtype``
+    elements (element i holds the bytes at ``(lo & ~3) + i * size``)."""
+    return _words(mem, lo >> 2, hi >> 2).view(dtype)
+
+
+def _bounds(bases, stride, n, mlen):
+    """Byte range of the accesses ``base + stride*j`` (j < n) over all
+    bases; bails when an address wraps or leaves memory."""
+    lo, hi = min(bases), max(bases)
+    if stride > 0:
+        hi += stride * (n - 1)
+    else:
+        lo += stride * (n - 1)
+    if lo < 0 or hi >> 2 >= mlen:
+        raise _Bail
+    return lo, hi
+
+
+def _gather(mem, lo, hi, bases, stride, n, size, dtype):
+    """``(len(bases), n)`` matrix of the elements at ``base + stride*j``:
+    one memory span when the bases are close together, else one per
+    base."""
+    if hi - lo > _DENSE * len(bases) * (abs(stride) * n + 4) + 4096:
+        return np.stack([_row(mem, b, stride, n, size, dtype)
+                         for b in bases])
+    sh = _LOG2[size]
+    view = _span(mem, lo, hi, dtype)
+    first = np.array(bases, dtype=np.int64)
+    off = (lo >> 2) << (2 - sh)
+    if stride % size == 0:
+        idx = ((first >> sh) - off)[:, None] + (stride >> sh) * _iota(n)
+    else:
+        idx = ((first[:, None] + stride * _iota(n)) >> sh) - off
+    return view[idx]
+
+
+def _row(mem, base, stride, n, size, dtype):
+    """The n elements at ``base + stride*j`` from their own span."""
+    end = base + stride * (n - 1)
+    lo = min(base, end)
+    view = _span(mem, lo, max(base, end), dtype)
+    sh = _LOG2[size]
+    off = (lo >> 2) << (2 - sh)
+    if stride > 0 and stride % size == 0:
+        first, step = (base >> sh) - off, stride >> sh
+        return view[first:first + step * (n - 1) + 1:step]
+    return view[((base + stride * _iota(n)) >> sh) - off]
+
+
+def _gather_at(mem, mlen, addr, size, dtype):
+    """Elements at an arbitrary address vector, with its byte range;
+    bails when an address leaves memory."""
+    lo, hi = int(addr.min()), int(addr.max())
+    if hi >> 2 >= mlen:
+        raise _Bail
+    sh = _LOG2[size]
+    view = _span(mem, lo, hi, dtype)
+    return view[(addr >> sh) - ((lo >> 2) << (2 - sh))], lo, hi
+
+
+def _stride_of(addr):
+    """Uniform stride of an address vector, or None."""
+    d = np.diff(addr)
+    return int(d[0]) if len(d) and (d == d[0]).all() else None
+
+
+def _with_prev(mat, prev):
+    """``mat`` plus one row per ``(row, entry)``: that row's values one
+    iteration late, ``entry`` first — what an SPR read sees of the stream
+    its previous occurrence loads."""
+    g, n = mat.shape
+    out = np.empty((g + len(prev), n), dtype=mat.dtype)
+    out[:g] = mat
+    for i, (row, entry) in enumerate(prev):
+        out[g + i, 0] = entry
+        out[g + i, 1:] = mat[row, :-1]
+    return out
+
+
+def _shift(entry, v):
+    """One-iteration-delayed carry: ``entry`` then ``v`` without its
+    last element."""
+    out = np.empty(len(v), dtype=np.int64)
+    out[0] = entry
+    out[1:] = v[:-1]
+    return out
 
 
 def _excl_cumsum(tot):
-    out = np.empty_like(tot)
+    out = np.empty(len(tot), dtype=np.int64)
     out[0] = 0
     np.cumsum(tot[:-1], out=out[1:])
     return out
 
 
-#: Memory list -> uint64 conversion granularity (words) for the
-#: per-window chunk cache shared by every gather in one evaluation.
-_CHUNK_SHIFT = 8
-_CHUNK_WORDS = 1 << _CHUNK_SHIFT
+def _lanes(x, lanes):
+    """Sign-extended int64 16-bit (lanes=2) or 8-bit (lanes=4) lanes of
+    32-bit values: an ``(n, lanes)`` array, or a vector for a scalar."""
+    if isinstance(x, np.ndarray):
+        dt = np.int16 if lanes == 2 else np.int8
+        return x.astype(np.uint32).view(dt).reshape(-1, lanes) \
+            .astype(np.int64)
+    return np.array(_halves(x) if lanes == 2 else _bytes4(x),
+                    dtype=np.int64)
 
 
-def _mem_span(ctx, wlo, whi):
-    """uint64 view of memory words [wlo, whi]; chunk-cached per window
-    so the many gathers of one template share list->array conversions."""
-    chunks = ctx["chunks"]
-    c0, c1 = wlo >> _CHUNK_SHIFT, whi >> _CHUNK_SHIFT
-    parts = []
-    for c in range(c0, c1 + 1):
-        ch = chunks.get(c)
-        if ch is None:
-            base = c << _CHUNK_SHIFT
-            ch = np.array(ctx["mem"][base:base + _CHUNK_WORDS],
-                          dtype=_U64)
-            chunks[c] = ch
-        parts.append(ch)
-    arr = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    base = c0 << _CHUNK_SHIFT
-    return arr[wlo - base:whi + 1 - base]
+def _dot_v(a, b, lanes):
+    return (_lanes(a, lanes) * _lanes(b, lanes)).sum(axis=-1)
 
 
-def _static_stride(anode, res):
-    """Per-iteration address stride proved at build time, or None."""
-    if anode[0] == "const":
-        return 0
-    if anode[0] in ("regin", "slotin"):
-        anode = ("sum", anode, (), 0)
-    if anode[0] != "sum" or anode[2] or anode[1] is None:
-        return None
-    spec = res.get(anode[1])
-    if spec is None:
-        return None
-    if spec[0] == "inv":
-        return 0
-    if spec[0] == "aff":
-        c = spec[1] & _M32
-        return c - (1 << 32) if c & 0x80000000 else c
-    return None
+def _signed_rows(raw):
+    return raw.view(np.int32).astype(np.int64) if raw.dtype == np.uint32 \
+        else raw.astype(np.int64)
 
 
-def _slot_addr(key, ctx):
-    """Resolve a slot key (const byte address or invariant node) to an
-    int byte address; bails on misalignment or a non-scalar address."""
-    if not isinstance(key, tuple):
-        return key
-    a = ctx["slotaddr"].get(key)
-    if a is None:
-        v = _ev(key, ctx)
-        if isinstance(v, np.ndarray):
-            raise _Bail
-        a = int(v) & _M32
-        if a % 4 or (a >> 2) >= ctx["mlen"]:
-            raise _Bail
-        ctx["slotaddr"][key] = a
-    return a
+def _rows_dot2h(a, b):
+    """Per-row sums of the signed 16-bit lane products of two word
+    matrices (one ``pv.sdotsp.h``/``pl.sdotsp.h`` term per row)."""
+    return (a.view(np.int16).astype(np.int64)
+            * b.view(np.int16)).sum(axis=1).tolist()
 
 
-def _ev(node, ctx):
-    cache = ctx["cache"]
-    v = cache.get(node)
-    if v is not None:
-        return v
-    k = node[0]
-    if k == "const":
-        v = node[1] & _M32
-    elif k == "regin":
-        v = _ev_carried(node, ctx["regs"][node[1]], ctx)
-    elif k == "slotin":
-        a = _slot_addr(node[1], ctx)
-        widx = a >> 2
-        if widx >= ctx["mlen"]:
-            raise _Bail
-        v = _ev_carried(node, ctx["mem"][widx], ctx)
-    elif k == "sum":
-        v = node[3] & _M32
-        if node[1] is not None:
-            v = v + _ev(node[1], ctx)
-        for t in node[2]:
-            tv = _ev(t, ctx)
-            v = v + (tv & _MASK if isinstance(tv, np.ndarray)
-                     else (tv & _M32))
-        v = v & _MASK if isinstance(v, np.ndarray) else v & _M32
-    elif k == "alu":
-        a = _ev(node[2], ctx)
-        b = _ev(node[3], ctx)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            if not isinstance(a, np.ndarray):
-                a = _vu(a)
-            if not isinstance(b, np.ndarray):
-                b = _vu(b)
-            v = _VOPS[node[1]](a, b, node[4])
-        else:
-            op = ALU_OPS.get(node[1]) or _SCALAR_EXTRA[node[1]]
-            v = op(a, b, node[4]) & _M32
-    elif k == "load":
-        v = _ev_load(node, ctx)
-    elif k == "pla":
-        x = _ev(node[1], ctx)
-        if isinstance(x, np.ndarray):
-            v = _pla_vec(x, node[2])
-        else:
-            sl, of = (_SIG_M, _SIG_Q) if node[2] else (_TANH_M, _TANH_Q)
-            v = _pla_scalar(_signed32(x), sl, of, node[2]) & _M32
-    elif k == "sprin":
-        occ = ctx["spr"][node[1]]
-        if node[2] == 0:
-            last = _arr(_ev(occ[-1], ctx), ctx["n"])
-            v = np.empty(ctx["n"], dtype=_U64)
-            v[0] = _vu(ctx["sprs"][node[1]])
-            v[1:] = last[:-1]
-        else:
-            v = _ev(occ[node[2] - 1], ctx)
-    else:  # pragma: no cover - walk only builds the kinds above
+def _rows_dot4b(a, b):
+    return (a.view(np.int8).astype(np.int64)
+            * b.view(np.int8)).sum(axis=1).tolist()
+
+
+def _rows_mac(a, b):
+    """Per-row sums of signed products (one ``p.mac`` term per row)."""
+    return (_signed_rows(a) * _signed_rows(b)).sum(axis=1).tolist()
+
+
+def _pla_s(x, is_sig):
+    """Vector Algorithm 2 on signed int64 input, bit-identical to
+    ``cpu._pla_scalar`` (result signed)."""
+    slopes = _SIG_M_V if is_sig else _TANH_M_V
+    offsets = _SIG_Q_V if is_sig else _TANH_Q_V
+    neg = x < 0
+    mag = np.abs(x)
+    idx = mag >> _PLA_SHIFT
+    inb = idx < _PLA_N
+    idxc = np.where(inb, idx, 0)
+    y = ((slopes[idxc] * mag) >> _PLA_FRAC) + offsets[idxc]
+    y = np.where(inb, y, _PLA_ONE)
+    y = np.where(neg, -y, y)
+    if is_sig:
+        y = np.where(neg, _PLA_ONE + y, y)
+    return np.clip(y, -32768, 32767)
+
+
+def _store_range(base, stride, n, size, mbytes):
+    """``(lo, hi, stride)`` of n stores at ``base + stride*j``; bails
+    when one would wrap, leave memory or overlap its own previous
+    iteration.  A single store has stride 0."""
+    if n == 1:
+        stride = 0
+    last = base + stride * (n - 1)
+    lo, hi = (base, last) if stride >= 0 else (last, base)
+    if lo < 0 or hi + size > mbytes:
         raise _Bail
-    cache[node] = v
-    return v
+    if stride and abs(stride) < size:
+        raise _Bail  # the store would self-overlap
+    return lo, hi + size - 1, stride
 
 
-def _ev_carried(node, entry, ctx):
-    spec = ctx["res"][node]
-    kind = spec[0]
-    if kind == "inv":
-        return entry & _M32
-    if kind == "aff":
-        return (_vu(entry) + _vu(spec[1]) * ctx["J"]) & _MASK
-    if kind == "acc":
-        # Cache the cumulative prefix per (node) so mid-body reads that
-        # captured partial sums share it.
-        tot = np.zeros(ctx["n"], dtype=_U64)
-        for t in spec[1]:
-            tot += _arr(_ev(t, ctx), ctx["n"]) & _MASK
-        return (_vu(entry) + _vu(spec[2]) * ctx["J"]
-                + _excl_cumsum(tot)) & _MASK
-    # "shift": value at iteration j is the carried expression of j-1.
-    fin = _arr(_ev(spec[1], ctx), ctx["n"])
-    out = np.empty(ctx["n"], dtype=_U64)
-    out[0] = _vu(entry)
-    out[1:] = fin[:-1]
-    return out
-
-
-def _ev_load(node, ctx):
-    addr = _ev(node[1], ctx)
-    size, signed = node[2], node[3]
-    mem = ctx["mem"]
-    if not isinstance(addr, np.ndarray):
-        a = addr & _M32
-        if a >> 2 >= ctx["mlen"]:
+def _store_vec(addr, n):
+    """``(base, stride)`` of a store address vector; bails unless the
+    stride is uniform."""
+    stride = 0
+    if n > 1:
+        d = np.diff(addr)
+        stride = int(d[0])
+        if not (d == stride).all():
             raise _Bail
-        ctx["lrecs"].append((node, a, a + size - 1, a, 0, size))
-        word = mem[a >> 2]
+    return int(addr[0]), stride
+
+
+def _store(mem, size, base, stride, n, val):
+    """Commit n stores of ``val`` (a vector, or one value for every
+    iteration) at ``base + stride*j``; stride 0 leaves the last value."""
+    if stride == 0:
+        v = val if isinstance(val, int) else int(val[-1])
+        widx = base >> 2
         if size == 4:
-            return word
-        if size == 2:
-            v = (word >> ((a & 2) << 3)) & 0xFFFF
-            if signed and v & 0x8000:
-                v |= 0xFFFF0000
+            mem[widx] = v & _M32
+        elif size == 2:
+            sh = (base & 2) << 3
+            mem[widx] = (mem[widx] & ~(0xFFFF << sh)) | ((v & 0xFFFF) << sh)
         else:
-            v = (word >> ((a & 3) << 3)) & 0xFF
-            if signed and v & 0x80:
-                v |= 0xFFFFFF00
-        return v
-    stride = ctx["lstride"].get(node, -1)
-    if stride != -1 and int(addr[-1]) - int(addr[0]) \
-            == stride * (len(addr) - 1):
-        # Affine chain proved at build time and no 2^32 wrap occurred
-        # (endpoint displacement matches): endpoints bound the range.
-        first, last = int(addr[0]), int(addr[-1])
-        lo, hi = (first, last) if stride >= 0 else (last, first)
-    else:
-        lo = int(addr.min())
-        hi = int(addr.max())
-        d = np.diff(addr.astype(np.int64))
-        stride = int(d[0]) if len(d) and (d == d[0]).all() else None
-    if hi >> 2 >= ctx["mlen"]:
-        raise _Bail
-    ctx["lrecs"].append((node, lo, hi + size - 1, int(addr[0]), stride,
-                         size))
-    wlo = lo >> 2
-    w = _mem_span(ctx, wlo, hi >> 2)[
-        (addr >> _U64(2)).astype(np.int64) - wlo]
-    if size == 4:
-        return w
-    if size == 2:
-        v = (w >> ((addr & _U64(2)) << _U64(3))) & _U64(0xFFFF)
-        if signed:
-            v = np.where((v & _U64(0x8000)) != 0,
-                         v | _U64(0xFFFF0000), v)
-    else:
-        v = (w >> ((addr & _U64(3)) << _U64(3))) & _U64(0xFF)
-        if signed:
-            v = np.where((v & _U64(0x80)) != 0, v | _U64(0xFFFFFF00), v)
-    return v
-
-
-# ----------------------------------------------------------------------
-# Commit
-# ----------------------------------------------------------------------
-def _scatter(mem, size, addr, val):
-    wlo = int(addr.min()) >> 2
-    whi = int(addr.max()) >> 2
-    seg = np.array(mem[wlo:whi + 1], dtype=_U64)
-    idx = (addr >> _U64(2)).astype(np.int64) - wlo
-    if size == 4:
-        seg[idx] = val & _MASK
-    elif size == 2:
-        sh = (addr & _U64(2)) << _U64(3)
-        np.bitwise_and.at(seg, idx, ~(_U64(0xFFFF) << sh))
-        np.bitwise_or.at(seg, idx, (val & _U64(0xFFFF)) << sh)
-    else:
-        sh = (addr & _U64(3)) << _U64(3)
-        np.bitwise_and.at(seg, idx, ~(_U64(0xFF) << sh))
-        np.bitwise_or.at(seg, idx, (val & _U64(0xFF)) << sh)
+            sh = (base & 3) << 3
+            mem[widx] = (mem[widx] & ~(0xFF << sh)) | ((v & 0xFF) << sh)
+        return
+    last = base + stride * (n - 1)
+    lo, hi = (base, last) if stride > 0 else (last, base)
+    wlo, whi = lo >> 2, hi >> 2
+    seg = _words(mem, wlo, whi)
+    dtype = _ELEM[size, False]
+    sh = _LOG2[size]
+    view = seg.view(dtype)
+    idx = ((base + stride * _iota(n)) >> sh) - (wlo << (2 - sh))
+    mask = (1 << (8 * size)) - 1
+    view[idx] = val & mask if isinstance(val, int) \
+        else (val & mask).astype(dtype)
     mem[wlo:whi + 1] = seg.tolist()
-
-
-def _eval_all(cpu, t, n):
-    ctx = {"J": np.arange(n, dtype=_U64), "n": n, "regs": cpu.regs,
-           "mem": cpu.memory.words, "mlen": len(cpu.memory.words),
-           "sprs": cpu.sprs, "res": t["res"], "spr": t["spr"],
-           "cache": {}, "lrecs": [], "slotaddr": {}, "chunks": {},
-           "lstride": t["lstride"]}
-    outs = [(r, _ev(node, ctx)) for r, node in t["writes"]]
-    stores = [(size, pos, ss, _ev(a, ctx), _ev(v, ctx))
-              for a, v, size, pos, ss in t["stores"]]
-    slots = [(key, _slot_addr(key, ctx), _ev(node, ctx))
-             for key, node in t["slots"]]
-    for node in t["forced"]:
-        _ev(node, ctx)
-    sprout = {}
-    for k, occ in t["spr"].items():
-        if occ:
-            for node in occ:  # every SPR load checks its address range
-                _ev(node, ctx)
-            sprout[k] = _ev(occ[-1], ctx)
-    cond = None
-    if t.get("cond") is not None:
-        m, a, b = t["cond"]
-        cond = _BROPS[m](_arr(_ev(a, ctx), n), _arr(_ev(b, ctx), n))
-    return ctx, outs, stores, slots, sprout, cond
-
-
-def _last(v, r):
-    return int(v[r - 1]) if isinstance(v, np.ndarray) else int(v)
 
 
 def _has_k(d, s, wlo, whi):
@@ -986,56 +915,20 @@ def _has_k(d, s, wlo, whi):
     return max(lo, 1) <= hi
 
 
-def _commit(cpu, t, ctx, outs, stores, slots, sprout, r):
-    mem_bytes = ctx["mlen"] * 4
-    srecs = []  # (pos, lo, hi, base, stride, size)
-    sprep = []
-    for size, pos, ss, addr, val in stores:
-        if isinstance(addr, np.ndarray):
-            a = addr[:r]
-            if ss is not None and int(a[-1]) - int(a[0]) == ss * (r - 1):
-                s = ss if r > 1 else 0
-                first, last = int(a[0]), int(a[-1])
-                lo, hi = (first, last) if s >= 0 else (last, first)
-            else:
-                lo = int(a.min())
-                hi = int(a.max())
-                s = 0
-                if r > 1:
-                    d = np.diff(a.astype(np.int64))
-                    s = int(d[0])
-                    if not (d == s).all():
-                        raise _Bail
-            if hi + size > mem_bytes:
-                raise _Bail
-            if s != 0 and abs(s) < size:
-                raise _Bail  # the store would self-overlap
-            if s == 0:
-                sprep.append((size, None, int(a[0]), _last(val, r)))
-            else:
-                v = val[:r] if isinstance(val, np.ndarray) \
-                    else np.full(r, _vu(int(val)), dtype=_U64)
-                sprep.append((size, a, None, v))
-            srecs.append((pos, lo, hi + size - 1, int(a[0]), s, size))
-        else:
-            lo = int(addr) & _M32
-            if lo + size > mem_bytes:
-                raise _Bail
-            sprep.append((size, None, lo, _last(val, r)))
-            srecs.append((pos, lo, lo + size - 1, lo, 0, size))
-    n_stores = len(srecs)
-    slot_addrs = {}
-    for key, addr, _v in slots:
-        srecs.append((None, addr, addr + 3, addr, 0, 4))
-        slot_addrs[key] = addr
+def _no_alias(lrecs, srecs, nstores, sread, swrite):
+    """Bail unless committing the window equals running it in order.
+
+    ``lrecs``/``srecs`` are ``(pos, lo, hi, base, stride, size)`` byte
+    ranges of every load and store (written slots last, ``pos`` None);
+    ``sread``/``swrite`` are ``(slot, addr)`` of the carried memory
+    cells read and written."""
     # Load/store aliasing.  Interval overlap alone is not fatal: equal
     # uniform strides let us solve exactly which iteration pairs (k =
     # load iter - store iter) touch common bytes.  A k = 0 hit is fine
     # when the store issues after the load's last body position; any
     # k >= 1 hit means a later load would read a byte an earlier
     # iteration stored — the snapshot gather would be stale, so bail.
-    load_pos = t["load_pos"]
-    for lnode, llo, lhi, lbase, ls, lsz in ctx["lrecs"]:
+    for lpos, llo, lhi, lbase, ls, lsz in lrecs:
         for spos, slo, shi, sbase, ss, ssz in srecs:
             if llo > shi or slo > lhi:
                 continue
@@ -1043,24 +936,21 @@ def _commit(cpu, t, ctx, outs, stores, slots, sprout, r):
                 raise _Bail
             d = lbase - sbase
             wlo, whi = 1 - lsz, ssz - 1
-            if wlo <= d <= whi:
-                lpos = load_pos.get(lnode)
-                if lpos is None or spos is None or spos < lpos:
-                    raise _Bail
+            if wlo <= d <= whi and (spos is None or spos < lpos):
+                raise _Bail
             if _has_k(d, ls, wlo, whi):
                 raise _Bail
     # A carried slot read sees only its own cell's history: any other
     # write landing on that cell invalidates the whole window.
-    for key in t["sloads"]:
-        a = _slot_addr(key, ctx)
-        for _pos, slo, shi, _b, _s, _z in srecs[:n_stores]:
+    for slot, a in sread:
+        for _pos, slo, shi, _b, _s, _z in srecs[:nstores]:
             if a <= shi and slo <= a + 3:
                 raise _Bail
-        for k2, a2 in slot_addrs.items():
-            if k2 != key and a <= a2 + 3 and a2 <= a + 3:
+        for slot2, a2 in swrite:
+            if slot2 != slot and a <= a2 + 3 and a2 <= a + 3:
                 raise _Bail
     # Store/store conflicts: same-iteration overlaps commit in program
-    # order (sprep keeps it), cross-iteration overlaps do not.
+    # order, cross-iteration overlaps do not.
     for i in range(len(srecs)):
         for j in range(i + 1, len(srecs)):
             _p1, l1, h1, b1, s1, z1 = srecs[i]
@@ -1074,40 +964,730 @@ def _commit(cpu, t, ctx, outs, stores, slots, sprout, r):
             if _has_k(d, s1, wlo, whi) or _has_k(d, -s1, wlo, whi):
                 raise _Bail
 
-    # ------------------------------------------------- all checks passed
-    mem = ctx["mem"]
-    for size, a, scalar_addr, v in sprep:
-        if a is None:
-            addr, value = scalar_addr, v
-            widx = addr >> 2
-            if size == 4:
-                mem[widx] = value
-            elif size == 2:
-                sh = (addr & 2) << 3
-                mem[widx] = (mem[widx] & ~(0xFFFF << sh)) \
-                    | ((value & 0xFFFF) << sh)
+
+def _leading(m, x0, s, y, swapped):
+    """Leading taken iterations of branch ``m`` on ``x0 + s*j`` against
+    the invariant ``y`` (exact integers, no wrap), or None if every
+    iteration is taken."""
+    if m in ("beq", "bne"):
+        if s == 0:
+            return None if (x0 == y) == (m == "beq") else 0
+        if m == "beq":
+            return 1 if x0 == y else 0
+        d = y - x0
+        return d // s if d % s == 0 and d // s >= 0 else None
+    if swapped:  # y < x  <=>  -x < -y;  y >= x  <=>  -x >= -y
+        x0, s, y = -x0, -s, -y
+    if m in ("blt", "bltu"):
+        if x0 >= y:
+            return 0
+        return None if s <= 0 else -((x0 - y) // s)
+    if x0 < y:
+        return 0
+    return None if s >= 0 else (x0 - y) // (-s) + 1
+
+
+def _exit(m, x0, s, y, n, swapped):
+    """Leading taken iterations (capped at n) of a branch-closed loop
+    whose exit test compares the induction ``x0 + s*j`` (mod 2**32) with
+    the invariant ``y``, solved in closed form on each stretch of
+    iterations between two wraps of ``x``."""
+    if m in ("blt", "bge"):
+        x, y = _signed32(x0), _signed32(y)
+        lo, hi = -(1 << 31), (1 << 31) - 1
+    else:
+        x, lo, hi = x0, 0, _M32
+    j = 0
+    while j < n:
+        span = n - j
+        if s > 0:
+            span = min(span, (hi - x) // s + 1)
+        elif s < 0:
+            span = min(span, (x - lo) // -s + 1)
+        k = _leading(m, x, s, y, swapped)
+        if k is not None and k < span:
+            return j + k
+        j += span
+        x = ((x + s * span - lo) & _M32) + lo
+    return n
+
+
+#: Names the generated kernels see besides their per-shape constants.
+_KERNEL_NS = {
+    "np": np, "_Bail": _Bail, "_iota": _iota, "_ld": _ld, "_bounds": _bounds,
+    "_gather": _gather, "_gather_at": _gather_at, "_stride_of": _stride_of,
+    "_with_prev": _with_prev, "_shift": _shift,
+    "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v,
+    "_rows_dot2h": _rows_dot2h, "_rows_dot4b": _rows_dot4b,
+    "_rows_mac": _rows_mac, "_pla_s": _pla_s, "_pla_scalar": _pla_scalar,
+    "_signed32": _signed32, "_store_range": _store_range,
+    "_store_vec": _store_vec, "_store": _store, "_no_alias": _no_alias,
+    "_exit": _exit, "_TANH_M": _TANH_M, "_TANH_Q": _TANH_Q,
+    "_SIG_M": _SIG_M, "_SIG_Q": _SIG_Q,
+}
+
+_M = _M32
+_B = 0x80000000
+_ROWS = {"dot2h": "_rows_dot2h", "dot4b": "_rows_dot4b",
+         "macterm": "_rows_mac"}
+
+
+# ----------------------------------------------------------------------
+# Lowering: template -> straight-line Python source
+# ----------------------------------------------------------------------
+def _load_groups(t):
+    """Static SLP grouping of the template's affine loads.
+
+    Loads whose address is an affine induction are grouped by (SPR
+    stream or not, size, signedness, stride); each group is read as one
+    ``(members, n)`` matrix.  An SPR stream's group also carries, per
+    SPR, its last occurrence delayed by one iteration: the values its
+    first reader consumes."""
+    res = t["res"]
+    spr_nodes = {node for occ in t["spr"].values() for node in occ}
+    groups, gof, index = [], {}, {}
+    for node in sorted(t["load_pos"], key=t["load_pos"].get):
+        s = _aff_stride(node[1], res)
+        if s is None:
+            continue
+        key = (node in spr_nodes, node[2], node[3], s)
+        g = index.get(key)
+        if g is None:
+            g = index[key] = len(groups)
+            groups.append({"size": node[2], "signed": node[3],
+                           "stride": s, "members": [], "prev": []})
+        gof[node] = (g, len(groups[g]["members"]))
+        groups[g]["members"].append(node)
+    prev_row = {}
+    for k, occ in t["spr"].items():
+        if occ and occ[-1] in gof:
+            g, row = gof[occ[-1]]
+            grp = groups[g]
+            prev_row[k] = (g, len(grp["members"]) + len(grp["prev"]))
+            grp["prev"].append((row, k))
+    return groups, gof, prev_row
+
+
+class _Lower:
+    """Demand-driven lowering of one template into straight-line code.
+
+    Every node has up to three lowered values, each emitted once:
+    ``S`` (a loop-invariant Python int), ``V`` (an int64 vector over the
+    n iterations, with a *form*: ``u`` canonical unsigned, ``s``
+    canonical signed, ``w`` any value congruent mod 2**32) and ``L``
+    (the Python int at the last iteration, mostly computed without the
+    vector).  Each memory read is preceded by its range check, so the
+    generated function raises ``_Bail`` before any out-of-range access
+    and before committing anything."""
+
+    def __init__(self, t, groups):
+        self.t = t
+        self.res = t["res"]
+        self.groups, self.gof, self.prev_row = groups
+        self.lines = []
+        self.consts = {}
+        self.memo = {}
+        self.vec = {}
+        self.nvar = 0
+        self.dyn = {}      # dynamic-address load -> (lo, hi, addr)
+        self.finals = {}   # acc placeholder -> var of its final value
+
+    def J(self):
+        """The iteration-index vector, emitted on first use."""
+        return self.once("J", lambda: self.line("J = _iota(n)") or "J")
+
+    # -------------------------------------------------------- plumbing
+    def line(self, text):
+        self.lines.append(text)
+
+    def tmp(self, expr):
+        name = f"v{self.nvar}"
+        self.nvar += 1
+        self.lines.append(f"{name} = {expr}")
+        return name
+
+    def const(self, value):
+        name = f"c{len(self.consts)}"
+        self.consts[name] = value
+        return name
+
+    def once(self, key, fn):
+        if key not in self.memo:
+            self.memo[key] = fn()
+        return self.memo[key]
+
+    def source(self, header):
+        return header + "\n" + "".join(f"    {ln}\n" for ln in self.lines)
+
+    # ------------------------------------------------- static analysis
+    def is_vec(self, node):
+        hit = self.vec.get(node)
+        if hit is not None:
+            return hit
+        k = node[0]
+        if k == "const":
+            out = False
+        elif k in ("regin", "slotin"):
+            out = self.res[node][0] != "inv"
+        elif k == "sprin":
+            out = node[2] == 0 or \
+                self.is_vec(self.t["spr"][node[1]][node[2] - 1])
+        elif k == "sum":
+            out = (node[1] is not None and self.is_vec(node[1])) or \
+                any(self.is_vec(x) for x in node[2])
+        elif k == "alu":
+            out = self.is_vec(node[2]) or self.is_vec(node[3])
+        else:  # load, pla
+            out = self.is_vec(node[1])
+        self.vec[node] = out
+        return out
+
+    def affine(self, node):
+        """``(x0, stride)`` when ``node`` is ``x0 + stride*j``, else None."""
+        def build():
+            s = _aff_stride(node, self.res)
+            if s is None:
+                return None
+            if node[0] == "sum":
+                c = _sext(node[3])
+                x0 = self.entry(node[1])
+                return (self.tmp(f"({x0} + {c}) & {_M}") if c else x0), s
+            return self.entry(node), s
+        return self.once(("aff", node), build)
+
+    # ------------------------------------------------------- scalars
+    def entry(self, p):
+        """Value of a carried placeholder entering the window."""
+        def build():
+            if p[0] == "regin":
+                return self.tmp(f"regs[{p[1]}] & {_M}")
+            return self.tmp(f"mem[{self.slot_addr(p[1])} >> 2]")
+        return self.once(("entry", p), build)
+
+    def slot_addr(self, key):
+        def build():
+            if not isinstance(key, tuple):
+                self.line(f"if {key >> 2} >= mlen: raise _Bail")
+                return str(key)
+            if self.is_vec(key):
+                self.line("raise _Bail")
+                return "0"
+            a = self.S(key)
+            self.line(f"if {a} & 3 or {a} >> 2 >= mlen: raise _Bail")
+            return a
+        return self.once(("slot", key), build)
+
+    def sop(self, m):
+        fn = ALU_OPS.get(m) or _SCALAR_EXTRA[m]
+        return self.once(("sop", m), lambda: self.const(fn))
+
+    def S(self, node):
+        k = node[0]
+        if k == "const":
+            return str(node[1] & _M)
+        return self.once(("S", node), lambda: self._scalar(node))
+
+    def _scalar(self, node):
+        k = node[0]
+        if k in ("regin", "slotin"):
+            return self.entry(node)
+        if k == "sum":
+            parts = [self.S(x) for x in _addends(node)]
+            return self.tmp(f"({' + '.join(parts)} + {node[3] & _M}) & {_M}")
+        if k == "alu":
+            return self.tmp(f"{self.sop(node[1])}({self.S(node[2])}, "
+                            f"{self.S(node[3])}, {node[4]}) & {_M}")
+        if k == "load":
+            a = self.S(node[1])
+            self.line(f"if {a} >> 2 >= mlen: raise _Bail")
+            return self.tmp(f"_ld(mem, {a}, {node[2]}, {node[3]})")
+        if k == "pla":
+            tbl = "_SIG_M, _SIG_Q" if node[2] else "_TANH_M, _TANH_Q"
+            return self.tmp(f"_pla_scalar(_signed32({self.S(node[1])}), "
+                            f"{tbl}, {node[2]}) & {_M}")
+        # sprin reading a loop-invariant occurrence
+        return self.S(self.t["spr"][node[1]][node[2] - 1])
+
+    # ------------------------------------------------------- vectors
+    def V(self, node):
+        return self.once(("V", node), lambda: self._vector(node))
+
+    def w(self, node):
+        """Expression for ``node`` in any form (vector or scalar)."""
+        return self.V(node)[0] if self.is_vec(node) else self.S(node)
+
+    def form(self, node):
+        return self.V(node)[1] if self.is_vec(node) else "u"
+
+    def as_u(self, node):
+        if not self.is_vec(node):
+            return self.S(node)
+        v, f = self.V(node)
+        if f == "u":
+            return v
+        return self.once(("u", node), lambda: self.tmp(f"{v} & {_M}"))
+
+    def as_s(self, node):
+        if not self.is_vec(node):
+            return self.once(("ss", node), lambda: self.tmp(
+                f"_signed32({self.S(node)})"))
+        v, f = self.V(node)
+        if f == "s":
+            return v
+        src = v if f == "u" else f"({v} & {_M})"
+        return self.once(("s", node), lambda: self.tmp(
+            f"({src} ^ {_B}) - {_B}"))
+
+    def _vector(self, node):
+        k = node[0]
+        if k in ("regin", "slotin"):
+            return self._carried(node)
+        if k == "sprin":
+            return self._sprin(node)
+        if k == "sum":
+            parts = [self.w(x) for x in _addends(node)]
+            c = _sext(node[3])
+            if c:
+                parts.append(str(c))
+            return self.tmp(" + ".join(parts)), "w"
+        if k == "alu":
+            return self._alu(*node[1:])
+        if k == "load":
+            return self._load(node)
+        return self.tmp(f"_pla_s({self.as_s(node[1])}, {node[2]})"), "s"
+
+    def _carried(self, p):
+        spec = self.res[p]
+        x0 = self.entry(p)
+        if spec[0] == "aff":
+            return self.tmp(f"{x0} + {_sext(spec[1])} * {self.J()}"), "w"
+        if spec[0] == "acc":
+            parts = [self.w(t) for t in spec[1]]
+            if not any(self.is_vec(t) for t in spec[1]):
+                parts = [f"np.full(n, {' + '.join(parts)}, np.int64)"]
+            tot = self.tmp(" + ".join(parts))
+            return self.tmp(f"{x0} + {_sext(spec[2])} * {self.J()} + "
+                            f"_excl_cumsum({tot})"), "w"
+        fin = spec[1]
+        f = self.V(fin)[0] if self.is_vec(fin) else \
+            self.tmp(f"np.full(n, {self.S(fin)}, np.int64)")
+        return self.tmp(f"_shift({x0}, {f})"), "w"
+
+    def _sprin(self, node):
+        k, o = node[1], node[2]
+        row = self.raw_row(node)
+        if row is not None:
+            g, i = row
+            return self.tmp(f"{self.mat64(g)}[{i}]"), "u"
+        occ = self.t["spr"][k]
+        if o:
+            return self.V(occ[o - 1])
+        last = occ[-1]
+        f = self.V(last)[0] if self.is_vec(last) else \
+            self.tmp(f"np.full(n, {self.S(last)}, np.int64)")
+        return self.tmp(f"_shift(sprs[{k}], {f})"), "u"
+
+    def _load(self, node):
+        size, signed = node[2], node[3]
+        form = "s" if signed and size < 4 else "u"
+        gi = self.gof.get(node)
+        if gi is not None:
+            return self.tmp(f"{self.mat64(gi[0])}[{gi[1]}]"), form
+        a = self.as_u(node[1])
+        raw, lo, hi = f"v{self.nvar}", f"v{self.nvar + 1}", \
+            f"v{self.nvar + 2}"
+        self.nvar += 3
+        self.line(f"{raw}, {lo}, {hi} = _gather_at(mem, mlen, {a}, {size}, "
+                  f"{self.const(_ELEM[size, signed])})")
+        self.dyn[node] = (lo, hi, a)
+        return self.tmp(f"{raw}.astype(np.int64)"), form
+
+    def _alu(self, m, a, b, imm):
+        if m in _VOPS:
+            def u64(x):
+                return f"{self.as_u(x)}.view(np.uint64)" if self.is_vec(x) \
+                    else f"np.uint64({self.S(x)})"
+            fn = self.once(("vop", m), lambda: self.const(_VOPS[m]))
+            return self.tmp(f"{fn}({u64(a)}, {u64(b)}, {imm})"
+                            ".view(np.int64)"), "u"
+        w, su, ss = self.w, self.as_u, self.as_s
+        if m in ("add", "sub", "mul"):
+            op = {"add": "+", "sub": "-", "mul": "*"}[m]
+            return self.tmp(f"{w(a)} {op} {w(b)}"), "w"
+        if m == "addi":
+            return self.tmp(f"{w(a)} + {imm}"), "w"
+        if m in ("and", "or", "xor", "andi", "ori", "xori"):
+            op = {"a": "&", "o": "|", "x": "^"}[m[0]]
+            if m[-1] == "i":
+                rhs, fb = str(imm), ("b" if 0 <= imm < _B else "s")
             else:
-                sh = (addr & 3) << 3
-                mem[widx] = (mem[widx] & ~(0xFF << sh)) \
-                    | ((value & 0xFF) << sh)
+                rhs, fb = w(b), self.form(b)
+            fa = self.form(a)
+            if op == "&" and "u" in (fa, fb):
+                out = "u"
+            elif {fa, fb} <= {"u", "b"}:
+                out = "u"
+            elif {fa, fb} <= {"s", "b"}:
+                out = "s"
+            else:
+                out = "w"
+            return self.tmp(f"{w(a)} {op} {rhs}"), out
+        if m == "slli":
+            return self.tmp(f"{su(a)} << {imm}"), "w"
+        if m == "srli":
+            return self.tmp(f"{su(a)} >> {imm}"), "u"
+        if m == "srai":
+            return self.tmp(f"{ss(a)} >> {imm}"), "s"
+        if m in ("sll", "srl", "sra"):
+            src = ss(a) if m == "sra" else su(a)
+            op = "<<" if m == "sll" else ">>"
+            form = {"sll": "w", "srl": "u", "sra": "s"}[m]
+            return self.tmp(f"{src} {op} ({su(b)} & 31)"), form
+        if m in ("slt", "sltu", "slti", "sltiu"):
+            conv = ss if m in ("slt", "slti") else su
+            rhs = {"slti": str(imm), "sltiu": str(imm & _M)}.get(m)
+            rhs = rhs if rhs is not None else conv(b)
+            return self.tmp(f"({conv(a)} < {rhs}).astype(np.int64)"), "u"
+        if m == "macterm":
+            return self.tmp(f"{ss(a)} * {ss(b)}"), "w"
+        if m in ("dot2h", "dot4b"):
+            lanes = 2 if m == "dot2h" else 4
+            return self.tmp(f"_dot_v({w(a)}, {w(b)}, {lanes})"), "w"
+        if m == "p.abs":
+            return self.tmp(f"np.abs({ss(a)})"), "u"
+        if m in ("p.min", "p.max"):
+            fn = "np.minimum" if m == "p.min" else "np.maximum"
+            return self.tmp(f"{fn}({ss(a)}, {ss(b)})"), "s"
+        if m in ("p.minu", "p.maxu"):
+            fn = "np.minimum" if m == "p.minu" else "np.maximum"
+            return self.tmp(f"{fn}({su(a)}, {su(b)})"), "u"
+        if m == "p.clip":
+            if imm == 0:
+                return self.tmp(f"np.minimum({ss(a)}, 0)"), "s"
+            lo, hi = -(1 << (imm - 1)), (1 << (imm - 1)) - 1
+            return self.tmp(f"np.clip({ss(a)}, {lo}, {hi})"), "s"
+        # p.exths
+        return self.tmp(f"(({w(a)} & 65535) ^ 32768) - 32768"), "s"
+
+    # ---------------------------------------------------- load groups
+    def group(self, g):
+        """Bases and range check of load group ``g``."""
+        def build():
+            grp = self.groups[g]
+            bases = [self.affine(node[1])[0] for node in grp["members"]]
+            bl = self.tmp(f"[{', '.join(bases)}]")
+            lo, hi = f"v{self.nvar}", f"v{self.nvar + 1}"
+            self.nvar += 2
+            self.line(f"{lo}, {hi} = _bounds({bl}, {grp['stride']}, n, mlen)")
+            return bl, lo, hi
+        return self.once(("group", g), build)
+
+    def mat(self, g):
+        """Raw element matrix of group ``g`` (members, then delayed SPR
+        rows)."""
+        def build():
+            grp = self.groups[g]
+            bl, lo, hi = self.group(g)
+            dt = self.const(_ELEM[grp["size"], grp["signed"]])
+            m = self.tmp(f"_gather(mem, {lo}, {hi}, {bl}, {grp['stride']}, "
+                         f"n, {grp['size']}, {dt})")
+            if grp["prev"]:
+                prev = ", ".join(f"({row}, sprs[{k}])"
+                                 for row, k in grp["prev"])
+                m = self.tmp(f"_with_prev({m}, ({prev},))")
+            return m
+        return self.once(("mat", g), build)
+
+    def mat64(self, g):
+        return self.once(("mat64", g), lambda: self.tmp(
+            f"{self.mat(g)}.astype(np.int64)"))
+
+    def raw_row(self, node):
+        """``(group, row)`` holding ``node``'s raw values, or None."""
+        if node[0] == "load":
+            return self.gof.get(node)
+        if node[0] == "sprin":
+            k, o = node[1], node[2]
+            if o:
+                return self.raw_row(self.t["spr"][k][o - 1])
+            return self.prev_row.get(k)
+        return None
+
+    def rows(self, g, idx):
+        """Rows ``idx`` of group ``g``'s raw matrix (a slice when they
+        are consecutive)."""
+        m = self.mat(g)
+        grp = self.groups[g]
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            if len(idx) == len(grp["members"]) + len(grp["prev"]):
+                return m
+            return self.tmp(f"{m}[{idx[0]}:{idx[0] + len(idx)}]")
+        return self.tmp(f"{m}[{self.const(np.array(idx, dtype=np.intp))}]")
+
+    # -------------------------------------------------- final values
+    def lower_finals(self, roots):
+        """Final values of the accumulators whose completed sum is only
+        read after the window (``roots``): ``entry + c*n + sum(terms)``,
+        with isomorphic dot/mac terms batched into one product-sum."""
+        accs = [p for p, spec in self.res.items() if spec[0] == "acc"
+                and ("sum", p, spec[1], spec[2]) in roots]
+        parts = {p: [] for p in accs}
+        batches = {}
+        for p in accs:
+            for term in self.res[p][1]:
+                key = self._batch_key(term)
+                if key is not None:
+                    batches.setdefault(key[0], []).append((p, key[1], key[2]))
+                elif self.is_vec(term):
+                    parts[p].append(f"int({self.w(term)}.sum())")
+                else:
+                    parts[p].append(f"n * {self.S(term)}")
+        for (op, ga, gb), items in batches.items():
+            a = self.rows(ga, [ra for _, ra, _ in items])
+            b = self.rows(gb, [rb for _, _, rb in items])
+            sums = self.tmp(f"{_ROWS[op]}({a}, {b})")
+            for i, (p, _, _) in enumerate(items):
+                parts[p].append(f"{sums}[{i}]")
+        for p in accs:
+            c = _sext(self.res[p][2])
+            terms = [self.entry(p)] + ([f"{c} * n"] if c else []) + parts[p]
+            self.finals[p] = self.tmp(f"({' + '.join(terms)}) & {_M}")
+
+    def _batch_key(self, term):
+        if term[0] != "alu" or term[1] not in _ROWS:
+            return None
+        ra, rb = self.raw_row(term[2]), self.raw_row(term[3])
+        if ra is None or rb is None:
+            return None
+        if term[1] != "macterm" and (self.groups[ra[0]]["size"] != 4
+                                     or self.groups[rb[0]]["size"] != 4):
+            return None
+        return (term[1], ra[0], rb[0]), ra[1], rb[1]
+
+    # ---------------------------------------------------- last values
+    def L(self, node):
+        if not self.is_vec(node):
+            return self.S(node)
+        return self.once(("L", node), lambda: self._last(node))
+
+    def _last(self, node):
+        k = node[0]
+        af = self.affine(node)
+        if af is not None:
+            return self.tmp(f"({af[0]} + {af[1]} * (n - 1)) & {_M}")
+        if k == "sum":
+            p = node[1]
+            if p in self.finals and node == ("sum", p) + self.res[p][1:]:
+                return self.finals[p]
+            parts = [self.L(x) for x in _addends(node)]
+            return self.tmp(f"({' + '.join(parts)} + {node[3] & _M}) & {_M}")
+        if k == "alu":
+            return self.tmp(f"{self.sop(node[1])}({self.L(node[2])}, "
+                            f"{self.L(node[3])}, {node[4]}) & {_M}")
+        if k == "pla":
+            tbl = "_SIG_M, _SIG_Q" if node[2] else "_TANH_M, _TANH_Q"
+            return self.tmp(f"_pla_scalar(_signed32({self.L(node[1])}), "
+                            f"{tbl}, {node[2]}) & {_M}")
+        if k == "load" and node in self.gof:
+            self.group(self.gof[node][0])
+            x0, s = self.affine(node[1])
+            return self.tmp(f"_ld(mem, ({x0} + {s} * (n - 1)) & {_M}, "
+                            f"{node[2]}, {node[3]})")
+        if k == "sprin":
+            occ = self.t["spr"][node[1]]
+            if node[2]:
+                return self.L(occ[node[2] - 1])
+            if occ[-1] in self.gof:
+                self.group(self.gof[occ[-1]][0])
+                x0, s = self.affine(occ[-1][1])
+                return self.tmp(f"sprs[{node[1]}] if n == 1 else _ld(mem, "
+                                f"({x0} + {s} * (n - 2)) & {_M}, 4, False)")
+        return self.tmp(f"int({self.V(node)[0]}[-1]) & {_M}")
+
+    # --------------------------------------------------- load records
+    def load_rec(self, node, pos):
+        """Range-check ``node`` (even if its value is dead) and return
+        its ``(pos, lo, hi, base, stride, size)`` record expression."""
+        size = node[2]
+        gi = self.gof.get(node)
+        if gi is not None:
+            self.group(gi[0])
+            x0, s = self.affine(node[1])
+            end = f"{x0} + {s} * (n - 1)"
+            lo, hi = (x0, end) if s >= 0 else (end, x0)
+            return f"({pos}, {lo}, {hi} + {size - 1}, {x0}, {s}, {size})"
+        if not self.is_vec(node[1]):
+            self.S(node)
+            a = self.S(node[1])
+            return f"({pos}, {a}, {a} + {size - 1}, {a}, 0, {size})"
+        self.V(node)
+        lo, hi, a = self.dyn[node]
+        return (f"({pos}, {lo}, {hi} + {size - 1}, int({a}[0]), "
+                f"_stride_of({a}), {size})")
+
+
+def _lower_body(t, groups):
+    """Source of ``body(regs, mem, sprs, n, cells, clk, ready, xi)``:
+    evaluate n iterations, check, then commit them."""
+    lw = _Lower(t, groups)
+    lw.line("mlen = len(mem)")
+    lw.line("mbytes = mlen << 2")
+    # The window's first read of each SPR waits for the load that fed
+    # it before the window (rule 5); every later read is stall-free
+    # (the walk's gap rule), so these are the only dynamic cycles.
+    stalls = []
+    for pos, k in t["spr_first"]:
+        before = " - ".join([f"{sum(t['costs'][:pos])}"] + stalls)
+        lw.line(f"w{k} = ready[{k}] - clk[0] - {before}")
+        lw.line(f"w{k} = w{k} if w{k} > 0 else 0")
+        stalls.append(f"w{k}")
+    roots = {node for _, node in t["writes"]} | \
+        {node for _, node in t["slots"]}
+    lw.lower_finals(roots)
+    regs = [(r, lw.L(node)) for r, node in t["writes"]]
+    slots = [(lw.slot_addr(key), lw.L(node)) for key, node in t["slots"]]
+    sprs = [(k, lw.L(occ[-1])) for k, occ in t["spr"].items() if occ]
+    stores, srecs = [], []
+    for anode, vnode, size, pos in t["stores"]:
+        if lw.is_vec(anode):
+            af = lw.affine(anode)
+            if af is not None:
+                base, stride = af
+            else:
+                base, stride = f"v{lw.nvar}", f"v{lw.nvar + 1}"
+                lw.nvar += 2
+                lw.line(f"{base}, {stride} = _store_vec({lw.as_u(anode)}, n)")
+            value = lw.L(vnode) if stride == 0 else lw.w(vnode)
         else:
-            _scatter(mem, size, a, v)
-    for _key, addr, v in slots:
-        mem[addr >> 2] = _last(v, r)
-    regs = cpu.regs
-    for reg, v in outs:
-        regs[reg] = _last(v, r)
-    stats = cpu._stats
-    base = t["bs"]
-    for off, c in enumerate(t["costs"]):
-        cell = stats[base + off]
-        cell[0] += r
-        cell[1] += r * c
-    cpu.clk[0] += r * t["total_cost"]
-    for k, v in sprout.items():
-        cpu.sprs[k] = _last(v, r)
-        cpu._spr_ready[k] = cpu.clk[0] - t["spr_tail"][k] + 2
-    cpu._xinstret[0] += r * t["blen"]
+            base, stride, value = lw.S(anode), 0, lw.L(vnode)
+        lo, hi, st = f"v{lw.nvar}", f"v{lw.nvar + 1}", f"v{lw.nvar + 2}"
+        lw.nvar += 3
+        lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {stride}, n, "
+                f"{size}, mbytes)")
+        stores.append((size, base, st, value))
+        srecs.append(f"({pos}, {lo}, {hi}, {base}, {st}, {size})")
+    lrecs = [lw.load_rec(node, pos) for node, pos in
+             sorted(t["load_pos"].items(), key=lambda kv: kv[1])]
+    slot_ids = {key: i for i, key in enumerate(
+        sorted({key for key, _ in t["slots"]} | set(t["sloads"]),
+               key=repr))}
+    sread = [(slot_ids[key], lw.slot_addr(key)) for key in t["sloads"]]
+    if stores or slots:
+        swrite = [(slot_ids[key], a) for (key, _), (a, _) in
+                  zip(t["slots"], slots)]
+        srecs += [f"(None, {a}, {a} + 3, {a}, 0, 4)" for a, _ in slots]
+        lw.line(f"_no_alias([{', '.join(lrecs)}], [{', '.join(srecs)}], "
+                f"{len(stores)}, [{', '.join(f'({i}, {a})' for i, a in sread)}"
+                f"], [{', '.join(f'({i}, {a})' for i, a in swrite)}])")
+    # ---------------------------------------------- all checks passed
+    for size, base, st, value in stores:
+        lw.line(f"_store(mem, {size}, {base}, {st}, n, {value})")
+    for a, value in slots:
+        lw.line(f"mem[{a} >> 2] = {value}")
+    for r, value in regs:
+        lw.line(f"regs[{r}] = {value}")
+    for i, cost in enumerate(t["costs"]):
+        lw.line(f"x = cells[{i}]; x[0] += n; x[1] += {cost} * n")
+    for pos, k in t["spr_first"]:
+        lw.line(f"cells[{pos}][1] += w{k}")
+    total = " + ".join([f"{sum(t['costs'])} * n"] + stalls)
+    lw.line(f"clk[0] += {total}")
+    for k, value in sprs:
+        lw.line(f"sprs[{k}] = {value}")
+        lw.line(f"ready[{k}] = clk[0] + {2 - t['spr_tail'][k]}")
+    lw.line(f"xi[0] += {len(t['costs'])} * n")
+    return lw.source("def body(regs, mem, sprs, n, cells, clk, ready, xi):"), \
+        lw.consts
+
+
+def _lower_cond(t, groups):
+    """Source of ``cond(regs, mem, sprs, n)``: the number of leading
+    iterations (capped at n) whose closing branch is taken.  Returns the
+    source, its constants, and whether the count is solved in closed
+    form (an affine induction against an invariant)."""
+    lw = _Lower(t, groups)
+    lw.line("mlen = len(mem)")
+    m, a, b = t["cond"]
+    af = {x: lw.affine(x) if lw.is_vec(x) else (lw.S(x), 0) for x in (a, b)}
+    exact = af[a] is not None and af[b] is not None and \
+        not (lw.is_vec(a) and lw.is_vec(b))
+    if exact:
+        swapped = lw.is_vec(b)
+        (x0, s), y = (af[b], af[a][0]) if swapped else (af[a], af[b][0])
+        lw.line(f"return _exit({m!r}, {x0}, {s}, {y}, n, {swapped})")
+    else:
+        conv = lw.as_s if m in ("blt", "bge") else lw.as_u
+        op = {"beq": "==", "bne": "!=", "blt": "<", "bltu": "<",
+              "bge": ">=", "bgeu": ">="}[m]
+        taken = lw.tmp(f"{conv(a)} {op} {conv(b)}")
+        lw.line(f"bad = np.flatnonzero(~{taken})")
+        lw.line("return int(bad[0]) if bad.size else n")
+    return lw.source("def cond(regs, mem, sprs, n):"), lw.consts, exact
+
+
+class _Kernel:
+    """The generated functions of one loop-body shape."""
+
+    def __init__(self, t):
+        self.blen = len(t["costs"])
+        self.br_cost = t["costs"][-1]
+        groups = _load_groups(t)
+        src, consts = _lower_body(t, groups)
+        self.source = src
+        self.body = _exec(src, consts, "body")
+        self.cond, self.exact = None, False
+        if t["cond"] is not None:
+            src, consts, self.exact = _lower_cond(t, groups)
+            self.source += "\n" + src
+            self.cond = _exec(src, consts, "cond")
+
+
+def _exec(src, consts, name):
+    ns = dict(_KERNEL_NS)
+    ns.update(consts)
+    exec(compile(src, f"<turbo {name}>", "exec"), ns)
+    return ns[name]
+
+
+#: Process-wide kernel cache: body shape -> _Kernel, or None for shapes
+#: that keep their closures.
+_KERNELS = {}
+
+
+def _shape_key(program, kind, bs, be, wait):
+    """Everything a loop template depends on: the body's instructions
+    (position-dependent constants only where ``jal``/``auipc`` bake in
+    an address), wait states, loop kind, and — for a body ending in a
+    load — the registers the next instruction reads (its stall)."""
+    body = []
+    for i in range(bs, be + 1):
+        ins = program[i]
+        where = ins.addr if ins.mnemonic == "auipc" or \
+            (ins.mnemonic == "jal" and ins.rd) else None
+        body.append((ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm, where))
+    nxt = None
+    if program[be].spec.is_load and be + 1 < len(program):
+        nxt = reads_mask(program[be + 1])
+    return kind, wait, tuple(body), nxt
+
+
+def _loop_kernel(program, wait, kind, bs, be):
+    """The cached kernel for the loop body ``bs..be``, compiling it on
+    first sight of its shape; None if the body is not vectorizable."""
+    key = _shape_key(program, kind, bs, be, wait)
+    if key in _KERNELS:
+        kernel = _KERNELS[key]
+        if kernel is not None:
+            _TURBO_EVENTS.inc(event="kernel_cache_hit")
+        return kernel
+    try:
+        kernel = _Kernel(_try_loop_template(
+            program, wait, bs, be, cond_term=be if kind == "br" else None))
+        _TURBO_EVENTS.inc(event="kernel_compile")
+    except _Unsupported:
+        kernel = None
+    _KERNELS[key] = kernel
+    return kernel
 
 
 # ----------------------------------------------------------------------
@@ -1120,14 +1700,18 @@ def _reraise_oob(cpu, i):
         f"({instr})") from None
 
 
-def _make_hw_wrapper(cpu, idx, t):
+def _make_hw_wrapper(cpu, idx, plan):
     setup_fn = cpu._code[idx]
-    code = cpu._code
     hw = cpu._hw
-    base = t["loopreg"] * 4
+    base = plan["loopreg"] * 4
     ob = 4 - base
-    bs, be, blen = t["bs"], t["be"], t["blen"]
+    bs, be = plan["bs"], plan["be"]
+    body, blen = plan["kernel"].body, plan["kernel"].blen
+    regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
+    cells = cpu._stats[bs:be + 1]
+    clk, ready = cpu.clk, cpu._spr_ready
     xi = cpu._xinstret
+    xlimit = cpu._xlimit
     tstats = cpu.turbo_stats
     state = {"bails": 0}
 
@@ -1141,24 +1725,11 @@ def _make_hw_wrapper(cpu, idx, t):
             return nxt
         if hw[ob] and bs <= hw[ob + 2] <= be:
             return nxt  # the other loop set's back edge ends in our body
-        # Iteration 0 through the closures: absorbs dynamic SPR entry
-        # stalls so the static vector costs are exact afterwards.
-        i = bs
-        try:
-            while True:
-                j = code[i]()
-                if i == be:
-                    break
-                i = j
-        except IndexError:
-            _reraise_oob(cpu, i)
-        xi[0] += blen
-        done = 1
+        done = 0
         while n - done > MIN_VEC:
             c = min(n - done, N_MAX)
             try:
-                ctx, outs, stores, slots, sprout, _ = _eval_all(cpu, t, c)
-                _commit(cpu, t, ctx, outs, stores, slots, sprout, c)
+                body(regs, mem, sprs, c, cells, clk, ready, xi)
             except _Bail:
                 state["bails"] += 1
                 tstats["bails"] += 1
@@ -1167,6 +1738,9 @@ def _make_hw_wrapper(cpu, idx, t):
             tstats["vector_loops"] += 1
             tstats["vector_iters"] += c
             done += c
+            if xi[0] > xlimit[0]:
+                raise ExecutionLimitExceeded(
+                    f"exceeded {cpu.max_instrs} instructions")
         rem = n - done
         if rem > 0:
             hw[base + 3] = rem
@@ -1177,80 +1751,118 @@ def _make_hw_wrapper(cpu, idx, t):
     return wrapper
 
 
-def _make_br_wrapper(cpu, idx, t, proven_trip=None):
+def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
     code = cpu._code
     hw = cpu._hw
-    bs, be, blen = t["bs"], t["be"], t["blen"]
-    br_cost = t["costs"][-1]  # not-taken cost of the branch terminator
+    bs, be = plan["bs"], plan["be"]
+    kernel = plan["kernel"]
+    body, cond, exact = kernel.body, kernel.cond, kernel.exact
+    blen, br_cost = kernel.blen, kernel.br_cost
+    regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
+    cells = cpu._stats[bs:be + 1]
+    last = cpu._stats[be]
+    clk, ready = cpu.clk, cpu._spr_ready
     xi = cpu._xinstret
     xlimit = cpu._xlimit
     tstats = cpu.turbo_stats
-    # An absint-proven constant trip count seeds the window hint (the
-    # first iteration always runs scalar, so N trips leave N-1 for the
-    # vector path); runtime learning still adapts after every exit, so
-    # execution stays bit- and cycle-exact either way.
+    # Loops whose exit test the kernel solves in closed form size every
+    # window exactly, from the loop entry.  Otherwise the first
+    # iteration runs on the closures, an absint-proven constant trip
+    # count seeds the window hint (N trips leave N-1 for the vector
+    # path) and runtime learning adapts it after every exit; execution
+    # stays bit- and cycle-exact either way.
     hint0 = CHUNK0 if proven_trip is None \
         else max(proven_trip - 1, MIN_VEC)
     state = {"bails": 0, "hint": hint0}
 
-    def wrapper():
-        if hw[0] or hw[4]:
-            return code[bs]()  # stale active loop state: stay scalar
+    def bail():
+        state["bails"] += 1
+        tstats["bails"] += 1
+        _BAILS.inc()
+
+    def iteration():
         i = bs
         try:
             while True:
                 j = code[i]()
                 if i == be:
-                    break
+                    return j
                 i = j
         except IndexError:
             _reraise_oob(cpu, i)
-        xi[0] += blen - 1  # the dispatch itself already counts one
-        if j != bs:
-            return j  # exited after one iteration
-        if state["bails"] >= MAX_BAILS or state["hint"] < VEC_MIN_ITERS \
-                or state["hint"] * blen < VEC_MIN_WORK:
-            return bs  # scalar: one iteration per wrapper call
+
+    def windows(k, u):
+        """Vector windows from the current iteration (``k``: its leading
+        taken iterations, if already solved); the next index, or None
+        after a bail."""
         total = 0
-        u = max(MIN_VEC, min(state["hint"] * 2, N_MAX))
         while True:
-            try:
+            if k is None:
                 try:
-                    ctx, outs, stores, slots, sprout, cond = \
-                        _eval_all(cpu, t, u)
+                    k = cond(regs, mem, sprs, u)
                 except _Bail:
                     # Speculative windows overshoot the loop's real trip
                     # count; an out-of-range gather near the end of the
-                    # window is expected — retry a smaller window before
-                    # concluding the loop really faults.
+                    # window is expected — retry a smaller window
+                    # before concluding the loop really faults.
                     if u > MIN_VEC:
                         u = max(MIN_VEC, u // 8)
                         continue
-                    raise
-                if cond.all():
-                    r, exited = u, False
-                else:
-                    r, exited = int(np.argmax(~cond)) + 1, True
-                _commit(cpu, t, ctx, outs, stores, slots, sprout, r)
+                    return bail()
+            exited = k < u
+            r = k + 1 if exited else u
+            try:
+                body(regs, mem, sprs, r, cells, clk, ready, xi)
             except _Bail:
-                state["bails"] += 1
-                tstats["bails"] += 1
-                _BAILS.inc()
-                return bs
+                return bail()
             # taken branches cost 2; the exit branch falls through for 1
-            cpu.clk[0] += 2 * r - (1 if exited else 0) - r * br_cost
-            cell = cpu._stats[be]
-            cell[1] += 2 * r - (1 if exited else 0) - r * br_cost
+            extra = 2 * r - (1 if exited else 0) - r * br_cost
+            clk[0] += extra
+            last[1] += extra
             tstats["vector_loops"] += 1
             tstats["vector_iters"] += r
             total += r
-            if exited:
-                state["hint"] = max(total, MIN_VEC)
-                return be + 1
-            u = min(u * 8, N_MAX)
             if xi[0] > xlimit[0]:
                 raise ExecutionLimitExceeded(
                     f"exceeded {cpu.max_instrs} instructions")
+            if exited:
+                state["hint"] = max(total, MIN_VEC)
+                return be + 1
+            k = None
+            u = min(u * 8, N_MAX)
+
+    def wrapper():
+        if hw[0] or hw[4]:
+            return code[bs]()  # stale active loop state: stay scalar
+        xi[0] -= 1  # the dispatch counted one; count what retires here
+        if exact and state["bails"] < MAX_BAILS:
+            try:
+                k = cond(regs, mem, sprs, N_MAX)
+            except _Bail:
+                bail()
+                k = None
+            if k is not None:
+                trips = k + 1
+                if trips >= VEC_MIN_ITERS and trips * blen >= VEC_MIN_WORK:
+                    nxt = windows(k, N_MAX)
+                    if nxt is not None:
+                        return nxt
+                else:
+                    # Too short for a window: run it on the closures.
+                    j = bs
+                    while j == bs:
+                        j = iteration()
+                        xi[0] += blen
+                    return j
+        j = iteration()
+        xi[0] += blen
+        if j != bs or exact or state["bails"] >= MAX_BAILS:
+            return j
+        hint = state["hint"]
+        if hint < VEC_MIN_ITERS or hint * blen < VEC_MIN_WORK:
+            return bs  # scalar: one iteration per wrapper call
+        nxt = windows(None, max(MIN_VEC, min(hint * 2, N_MAX)))
+        return bs if nxt is None else nxt
     return wrapper
 
 
@@ -1280,50 +1892,36 @@ def _make_fuse_wrapper(cpu, idx, end):
 # ----------------------------------------------------------------------
 # Program analysis: which entries get which wrapper
 # ----------------------------------------------------------------------
-def _try_loop_template(program, cfg, wait, bs, be, cond_term=None,
-                       loopreg=None):
+def _try_loop_template(program, wait, bs, be, cond_term=None):
     idxs = range(bs, be + (0 if cond_term else 1))
     walk = _Walk(program, idxs, wait, allow_spr=cond_term is None)
-    extra = ()
+    extra = list(walk.load_pos)  # every access is range-checked
     cond = None
     if cond_term is not None:
         instr = program[cond_term]
         a, b = walk._reg(instr.rs1), walk._reg(instr.rs2)
         cond = (instr.mnemonic, a, b)
-        extra = (a, b)
+        extra += [a, b]
         walk.costs.append(1)  # branch base (taken penalty at commit)
-    for key in walk.slot_loaded:
-        # Force every slot read so its range check always runs, even
-        # when the loaded value is otherwise dead.
-        walk.forced.append(("slotin", key))
     res, writes, slots = _finalize(walk, extra)
-    lstride = {}
-    for node in walk.load_pos:
-        s = _static_stride(node[1], res)
-        if s is not None:
-            lstride[node] = s
-    stores = [(a, v, size, pos, _static_stride(a, res))
-              for a, v, size, pos in walk.stores]
-    blen = be - bs + 1
-    t = {"bs": bs, "be": be, "blen": blen, "costs": walk.costs,
-         "total_cost": sum(walk.costs), "writes": writes, "slots": slots,
-         "stores": stores, "spr": walk.spr, "res": res,
-         "lstride": lstride,
-         "forced": walk.forced, "sloads": sorted(walk.slot_loaded,
-                                                 key=repr),
-         "load_pos": walk.load_pos, "cond": cond, "loopreg": loopreg,
-         "spr_tail": {}}
+    t = {"costs": walk.costs, "writes": writes, "slots": slots,
+         "stores": walk.stores, "spr": walk.spr, "res": res,
+         "sloads": sorted(walk.slot_loaded, key=repr),
+         "load_pos": walk.load_pos, "cond": cond, "spr_tail": {}}
     for k, ps in walk.spr_pos.items():
         if ps:
             t["spr_tail"][k] = sum(walk.costs[ps[-1]:])
+    t["spr_first"] = sorted((ps[0], k) for k, ps in walk.spr_pos.items()
+                            if ps)
     return t
 
 
 def analyze_program(program, wait_states=0):
     """Compile-time analysis: map instruction index -> turbo plan.
 
-    Returns ``{idx: ("hw"|"br", template) | ("fuse", end)}``; cached per
-    :class:`Program` by :func:`build_turbo_code`.
+    Returns ``{idx: ("hw"|"br", plan) | ("fuse", end)}`` where a loop
+    plan holds its body span, loop register and shape-shared kernel;
+    cached per :class:`Program` by :func:`build_turbo_code`.
     """
     cfg = build_cfg(program)
     plans = {}
@@ -1354,13 +1952,14 @@ def analyze_program(program, wait_states=0):
         term = program[lp.body_end].spec
         if term.is_branch or term.is_jump:
             continue
-        try:
-            t = _try_loop_template(program, cfg, wait_states,
-                                   lp.body_start, lp.body_end,
-                                   loopreg=lp.index)
-        except _Unsupported:
+        kernel = _loop_kernel(program, wait_states, "hw",
+                              lp.body_start, lp.body_end)
+        if kernel is None:
             continue
-        plans[lp.setup_idx] = ("hw", t)
+        plans[lp.setup_idx] = ("hw", {"kernel": kernel,
+                                      "bs": lp.body_start,
+                                      "be": lp.body_end,
+                                      "loopreg": lp.index})
         _TURBO_EVENTS.inc(event="compile_hw")
 
     def in_loop(i):
@@ -1375,13 +1974,13 @@ def analyze_program(program, wait_states=0):
         if term.spec.is_branch and \
                 (term.addr + term.imm) // 4 == block.start and \
                 block.end > block.start:
-            try:
-                t = _try_loop_template(program, cfg, wait_states,
-                                       block.start, block.end,
-                                       cond_term=block.end)
-            except _Unsupported:
+            kernel = _loop_kernel(program, wait_states, "br",
+                                  block.start, block.end)
+            if kernel is None:
                 continue
-            plans[block.start] = ("br", t)
+            plans[block.start] = ("br", {"kernel": kernel,
+                                         "bs": block.start,
+                                         "be": block.end})
             _TURBO_EVENTS.inc(event="compile_br")
         elif len(block) >= FUSE_MIN:
             plans[block.start] = ("fuse", block.end)
@@ -1414,8 +2013,12 @@ def build_turbo_code(cpu):
         if plan[0] == "hw":
             tcode[idx] = _make_hw_wrapper(cpu, idx, plan[1])
         elif plan[0] == "br":
-            tcode[idx] = _make_br_wrapper(cpu, idx, plan[1],
-                                          proven.get(plan[1]["be"]))
+            trips = proven.get(plan[1]["be"])
+            if trips is not None and (
+                    trips < VEC_MIN_ITERS
+                    or trips * plan[1]["kernel"].blen < VEC_MIN_WORK):
+                continue  # proven too short to vectorize: plain closures
+            tcode[idx] = _make_br_wrapper(cpu, idx, plan[1], trips)
         else:
             tcode[idx] = _make_fuse_wrapper(cpu, idx, plan[1])
             nfuse += 1

@@ -332,7 +332,7 @@ class NetworkProgram:
             raise ValueError(
                 f"input must have shape ({self.network.input_size},)")
         self.memory.store_halfwords(self.plan.input_addr, x)
-        self.cpu.run(0)
+        self.cpu.execute(0)
         return self.memory.load_halfwords(self.plan.output_addr,
                                           self.network.output_size)
 
