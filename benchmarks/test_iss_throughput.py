@@ -11,16 +11,24 @@ Three workloads bracket the engine design space:
 * *tile-e* — the paper's level-e output tile, a 22-instruction
   ``pl.sdotsp.h`` body at 16 trips: a short loop that must still take
   the vector path (asserted).
+* *matvec-a* — the level-a matvec (``kernels.matvec._gen_level_a``) at
+  64 rows x 64 columns: a two-level loop nest that must run as one nest
+  window (asserted).
 
-Both engines run every program; ``BENCH_iss.json`` records the
-instret/s rates, each program's turbo vector-window count, and the turbo
-speedups (the acceptance floor is 10x on the turbo-hot program).
+Both engines run every program; ``BENCH_iss.json`` records the host,
+the instret/s rates, each program's turbo vector- and nest-window
+counts, and the turbo speedups (the acceptance floor is 10x on the
+turbo-hot program).
 """
 
 import time
 
+from repro.bench import host_info
 from repro.core import Cpu, Memory
 from repro.isa import assemble
+from repro.kernels.common import AsmBuilder, LEVELS
+from repro.kernels.jobs import MatvecJob
+from repro.kernels.matvec import gen_matvec
 
 #: Long, stride-regular hardware loop: vectorizes end to end.
 TURBO_HOT = """
@@ -70,6 +78,19 @@ TILE_E = "\n".join(
     + ["end:", "addi t2, t2, 1", "bltu t2, t3, outer", "ebreak"]) + "\n"
 
 
+def _matvec_a(n_out=64, n_in=64):
+    b = AsmBuilder()
+    gen_matvec(b, LEVELS["a"], MatvecJob(
+        n_in, n_out, w_addr=0x1000, x_addr=0x8000, b_addr=0x8800,
+        out_addr=0x9000, row_halfwords=n_in, acc_addr=0x100))
+    b.emit("ebreak")
+    return b.text()
+
+
+#: Level-a matvec layer, 64 x 64: one nest window per run.
+MATVEC_A = _matvec_a()
+
+
 def _run(program, engine):
     cpu = Cpu(program, Memory(1 << 16), engine=engine)
     cpu.run()
@@ -112,27 +133,35 @@ def test_iss_instructions_per_second_turbo(benchmark):
 def test_iss_throughput_artifact(save_json):
     programs = {"turbo_hot": assemble(TURBO_HOT),
                 "interp_hot": assemble(INTERP_HOT),
-                "tile_e": assemble(TILE_E)}
-    vector_loops = {}
+                "tile_e": assemble(TILE_E),
+                "matvec_a": assemble(MATVEC_A)}
+    vector_loops, nest_loops = {}, {}
     for name, program in programs.items():
         ref, tur = _run(program, "interp"), _run(program, "turbo")
         assert (tur.instret, tur.cycles) == (ref.instret, ref.cycles)
         vector_loops[name] = tur.turbo_stats["vector_loops"]
+        nest_loops[name] = tur.turbo_stats["nest_loops"]
     # The brackets hold only while each program takes its intended path.
     assert vector_loops["interp_hot"] == 0, vector_loops
     assert vector_loops["turbo_hot"] > 0, vector_loops
     assert vector_loops["tile_e"] > 0, vector_loops
+    assert vector_loops["matvec_a"] == nest_loops["matvec_a"] == 1, \
+        (vector_loops, nest_loops)
     rates = {name: {engine: _rate(program, engine)
                     for engine in ("interp", "turbo")}
              for name, program in programs.items()}
     speedup = rates["turbo_hot"]["turbo"] / rates["turbo_hot"]["interp"]
     save_json("BENCH_iss.json", {
+        "host": host_info(),
         "instret_per_second": rates,
         "vector_loops": vector_loops,
+        "nest_loops": nest_loops,
         "turbo_speedup_turbo_hot": speedup,
         "turbo_speedup_interp_hot":
             rates["interp_hot"]["turbo"] / rates["interp_hot"]["interp"],
         "turbo_speedup_tile_e":
             rates["tile_e"]["turbo"] / rates["tile_e"]["interp"],
+        "turbo_speedup_matvec_a":
+            rates["matvec_a"]["turbo"] / rates["matvec_a"]["interp"],
     })
     assert speedup >= 10.0, f"turbo speedup {speedup:.1f}x below 10x"

@@ -44,6 +44,7 @@ from __future__ import annotations
 import collections
 import json
 import os
+import platform
 import time
 
 import numpy as np
@@ -57,8 +58,8 @@ from .serve.loadgen import (LoadGenerator, make_request_stream,
 from .serve.metrics import ServeMetrics
 
 __all__ = ["SCHEMA", "golden_pass", "offered_load", "EngineTarget",
-           "ClusterTarget", "run_pass", "account", "emit", "render",
-           "serve", "cluster", "chaos", "aot"]
+           "ClusterTarget", "run_pass", "account", "host_info", "emit",
+           "render", "serve", "cluster", "chaos", "aot"]
 
 #: Version of the ``BENCH_*.json`` layout every bench writes.
 SCHEMA = 1
@@ -395,6 +396,24 @@ def _config(options: dict) -> dict:
             for key, value in options.items() if key != "stop_event"}
 
 
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as handle:
+            for line in handle:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or platform.machine()
+
+
+def host_info() -> dict:
+    """The host a result was measured on: every ``BENCH_*.json`` writer
+    records it, so rates can be compared across machines."""
+    return {"cpu_count": os.cpu_count(), "cpu_model": _cpu_model(),
+            "python": platform.python_version(), "numpy": np.__version__}
+
+
 def emit(bench: str, config: dict, **sections) -> dict:
     """Assemble one result in the shared schema and write it.
 
@@ -405,7 +424,7 @@ def emit(bench: str, config: dict, **sections) -> dict:
     The result is written to ``config["out"]`` when that is set.
     """
     result = {"schema": SCHEMA, "bench": bench, "config": config,
-              "host": {"cpu_count": os.cpu_count()}}
+              "host": host_info()}
     passes = sections.get("passes")
     if passes is not None:
         result["interrupted"] = any(p["interrupted"]

@@ -144,7 +144,7 @@ class Cpu:
         self._xlimit = [0]
         #: turbo-engine counters (always present; zeros under "interp")
         self.turbo_stats = {"vector_loops": 0, "vector_iters": 0,
-                            "bails": 0, "fused_blocks": 0}
+                            "nest_loops": 0, "bails": 0, "fused_blocks": 0}
         if engine == "turbo":
             from .turbo import build_turbo_code
             self._tcode = build_turbo_code(self)

@@ -10,15 +10,24 @@ compiled kernels for the program's hot loops:
   evaluated at once — post-increment load chains become slices of one
   memory span, dot products become one product-sum, PLA activations use a
   vectorized Algorithm 2 identical to the scalar one.
-* **Branch-closed loops** (a single block whose terminating branch targets
-  its own start, e.g. the level-a matvec) are solved in windows: when the
-  exit test compares an affine induction against an invariant the exit
-  iteration is solved in closed form, otherwise the kernel evaluates a
-  candidate window and finds the first iteration whose branch falls
-  through; either way it commits exactly that prefix.
-* **Superblocks** (straight-line blocks outside every loop) are stepped
-  through a tight local closure loop, skipping the run loop's per
-  instruction bookkeeping.
+* **Branch-closed loops** (a backward branch to the loop head, e.g. a
+  level-a matvec row) are solved in windows: when the exit test compares
+  an affine induction against an invariant the exit iteration is solved
+  in closed form, otherwise the kernel evaluates a candidate window and
+  finds the first iteration whose branch falls through; either way it
+  commits exactly that prefix.  Short inner branch loops whose every
+  exit decision is static (the level-a conv's 3-trip ``kx``/``ky``
+  loops) are unrolled into the body, each decision re-checked over the
+  window.
+* **Loop nests** (a branch loop around exactly one inner branch loop,
+  e.g. a whole level-a matvec layer) run as one 2-D window: ``n`` outer
+  iterations by ``T`` inner trips, ``T`` the same for every outer
+  iteration, the inner loads ``(n, T)`` gathers and the inner
+  accumulators product-sums over the inner axis.
+* **Superblocks** (straight-line blocks outside every hardware loop, a
+  tile prologue up to its ``lp.setupi`` included) are stepped through a
+  tight local closure loop, skipping the run loop's per instruction
+  bookkeeping.
 
 Each eligible loop body is walked once into a symbolic template and the
 template is lowered to straight-line Python source — one generated
@@ -60,9 +69,9 @@ from ..analysis.cfg import build_cfg
 from ..isa.instructions import Fmt, reads_mask
 from ..obs.metrics import REGISTRY
 from .cpu import (
-    ALU_OPS, _DIV_OPS, _M32, _PLA_FRAC, _PLA_N, _PLA_ONE, _PLA_SHIFT,
-    _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _bytes4, _dot2h, _dot4b, _halves,
-    _pla_scalar, _signed32, DIV_CYCLES,
+    ALU_OPS, BRANCH_OPS, DIV_CYCLES, _DIV_OPS, _M32, _PLA_FRAC, _PLA_N,
+    _PLA_ONE, _PLA_SHIFT, _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _bytes4, _dot2h,
+    _dot4b, _halves, _pla_scalar, _signed32,
 )
 from .exceptions import ExecutionLimitExceeded, MemoryError32
 
@@ -84,6 +93,11 @@ N_MAX = 1 << 21
 MAX_BAILS = 3
 #: Minimum block length worth a fused superblock stepper.
 FUSE_MIN = 4
+#: Most inner trips x outer iterations one loop-nest window evaluates
+#: (its largest 2-D temporaries hold this many int64 elements).
+NEST_ELEMS = 1 << 18
+#: Most instructions one template walk visits, unrolled loops included.
+UNROLL_STEPS = 8192
 
 _U64 = np.uint64
 _MASK = np.uint64(0xFFFFFFFF)
@@ -299,6 +313,10 @@ def _subst(node, old, new, memo):
         out = ("load", _subst(node[1], old, new, memo), node[2], node[3])
     elif k == "pla":
         out = ("pla", _subst(node[1], old, new, memo), node[2])
+    elif k == "j2":
+        out = ("j2", _subst(node[1], old, new, memo), node[2])
+    elif k == "isum":
+        out = ("isum", _subst(node[1], old, new, memo))
     else:
         out = node
     memo[node] = out
@@ -324,20 +342,124 @@ def _mk_add2(x, y):
     return ("sum", r1, terms, c)
 
 
+def _inner_loops(program, lo, hi):
+    """``{head: end}`` of the back-branch loops inside ``lo..hi``; they
+    must nest properly, one loop per head."""
+    loops = {}
+    for i in range(lo, hi + 1):
+        instr = program[i]
+        if not instr.spec.is_branch:
+            continue
+        h = (instr.addr + instr.imm) // 4
+        if lo <= h < i:
+            if h in loops:
+                raise _Unsupported("two loops share a head")
+            loops[h] = i
+    spans = sorted(loops.items())
+    for a, (h1, e1) in enumerate(spans):
+        for h2, e2 in spans[a + 1:]:
+            if h2 <= e1 < e2:
+                raise _Unsupported("overlapping loops")
+    return loops
+
+
+def _wrap_guard(m, root, terms, consts):
+    """``(x, signed, lo, hi)`` with ``x = root + terms``: while the
+    canonical value of ``x`` stays in ``[lo, hi]``, no ``x + c`` (``c`` in
+    ``consts``) wraps in compare ``m``'s domain, so ``m`` orders them as
+    it orders the constants.  None when every value wraps."""
+    signed = m in ("blt", "bge")
+    top, bot = ((1 << 31) - 1, -(1 << 31)) if signed else (_M32, 0)
+    lo, hi = bot - min(consts), top - max(consts)
+    if lo > hi:
+        return None
+    x = root if not terms else terms[0] if root is None and \
+        len(terms) == 1 else ("sum", root, tuple(terms), 0)
+    return x, signed, lo, hi
+
+
+def _branch_guard(m, a, b):
+    """Static outcome of branch ``m`` on nodes ``a``/``b``: ``(taken,
+    guard)``, ``guard`` None or a :func:`_wrap_guard` the outcome needs;
+    None when the outcome depends on runtime values."""
+    ra, ta, ca = _decompose(a)
+    rb, tb, cb = _decompose(b)
+    if ra != rb or ta != tb:
+        return None
+    if ra is None and not ta:
+        return bool(BRANCH_OPS[m](ca & _M32, cb & _M32)), None
+    if m in ("beq", "bne"):
+        return ((ca - cb) % (1 << 32) == 0) == (m == "beq"), None
+    guard = _wrap_guard(m, ra, ta, (ca, cb))
+    if guard is None:
+        return None
+    return (ca < cb if m in ("blt", "bltu") else ca >= cb), guard
+
+
+def _sum_of(parts, c):
+    """The sum of ``parts`` plus the constant ``c``."""
+    out = _CONST0
+    for x in parts:
+        out = _mk_add2(out, x)
+    return _mk_addc(out, c)
+
+
+def _invariant(node, res):
+    """Does ``node`` keep its value across the loop's iterations?"""
+    ph = set()
+    _collect_placeholders(node, ph)
+    return all(p[0] != "sprin" and res.get(p, ("inv",))[0] == "inv"
+               for p in ph)
+
+
+def _branch_trips(m, x0, s, y, swapped):
+    """Walk-time trip count of a branch loop whose exit test compares the
+    induction ``x0 + s*j`` with ``y``: ``(T, guard)`` as in
+    :func:`_branch_guard`, or None when the count depends on runtime
+    values."""
+    rx, tx, cx = _decompose(x0)
+    ry, ty, cy = _decompose(y)
+    if rx != ry or tx != ty:
+        return None
+    if (rx is None and not tx) or m in ("beq", "bne"):
+        k = _exit(m, cx & _M32, s, cy & _M32, NEST_ELEMS, swapped)
+        guard = None
+    else:
+        k = _leading(m, cx, s, cy, swapped)
+        if k is None:
+            raise _Unsupported("inner loop never exits")
+        guard = _wrap_guard(m, rx, tx, (cx, cx + s * k, cy))
+        if guard is None:
+            raise _Unsupported("inner exit always wraps")
+    if k >= NEST_ELEMS:
+        raise _Unsupported("inner loop too long")
+    return k + 1, guard
+
+
 class _Walk:
-    """One symbolic pass over a straight-line loop body.
+    """One symbolic pass over a loop body.
 
     Registers start as ``("regin", r)`` placeholders; the finalize step
     classifies each placeholder from the body's *final* expression for
     that register (invariant / affine induction / additive accumulator /
     one-iteration-delayed "shift" carry) and rejects anything else.
+
+    The body may hold branch loops of its own.  One whose exit the walk
+    can decide at every iteration (a constant counter, or an induction
+    against a bound a constant away) and that stays below the vector
+    thresholds is unrolled, each decision guarded by a range check the
+    kernel repeats over the window.  With ``nest`` set, one other inner
+    loop may remain: it becomes the inner level of a loop nest
+    (:meth:`_nest`).
     """
 
-    def __init__(self, program, idxs, wait, allow_spr):
+    def __init__(self, program, bs, stop, wait, allow_spr, nest=False,
+                 budget=None):
         self.program = program
-        self.idxs = idxs
         self.wait = wait
         self.allow_spr = allow_spr
+        self.nest_ok = nest
+        self.budget = budget if budget is not None else [UNROLL_STEPS]
         self.sym = {0: _CONST0}
         # Slot key: a const byte address (int) or a loop-invariant
         # address node (tuple) -> last stored node for that memory cell.
@@ -348,9 +470,15 @@ class _Walk:
         self.stores = []           # (addr_node, value_node, size, pos)
         self.spr = {0: [], 1: []}  # SPR k -> ordered load nodes
         self.spr_pos = {0: [], 1: []}
-        self.costs = []
-        for pos, i in enumerate(idxs):
-            self._step(pos, i)
+        self.costs = []            # static cost per body position
+        # (static index, count, count per inner trip, cycles, cycles
+        # per inner trip) of every executed instruction
+        self.steps = []
+        self.guards = []           # (node, signed, lo, hi) range checks
+        self.nest = None
+        self.depth = 0
+        self.loops = _inner_loops(program, bs, stop)
+        self._range(bs, stop, None)
         self._check_spr_gaps()
 
     def _reg(self, r):
@@ -361,6 +489,13 @@ class _Walk:
     def _setreg(self, r, node):
         if r:
             self.sym[r] = node
+
+    def _tick(self, i, cost):
+        self.budget[0] -= 1
+        if self.budget[0] < 0:
+            raise _Unsupported("unrolled body too long")
+        self.costs.append(cost)
+        self.steps.append((i, 1, 0, cost, 0))
 
     def _cost(self, i, base=1):
         """Static closure cost of instruction ``i`` (load-use stall rule
@@ -377,6 +512,221 @@ class _Walk:
             return 1 + self.wait
         return base
 
+    # ------------------------------------------------- control flow
+    def _range(self, lo, hi, entered):
+        i = lo
+        while i <= hi:
+            end = self.loops.get(i)
+            if end is not None and i != entered:
+                self._loop(i, end)
+                i = end + 1
+            else:
+                self._step(len(self.costs), i)
+                i += 1
+
+    _STATE = ("sym", "slotsym", "slot_loaded", "load_nodes", "load_pos",
+              "stores", "spr", "spr_pos", "costs", "steps", "guards")
+
+    def _save(self):
+        return {k: getattr(self, k).copy() for k in self._STATE}
+
+    def _loop(self, h, e):
+        """Unroll the inner loop ``h..e`` or make it the nest's inner
+        level."""
+        instr = self.program[e]
+        saved = self._save()
+        first = len(self.steps)
+        self.depth += 1
+        try:
+            trips = 0
+            while True:
+                self._range(h, e - 1, h)
+                out = _branch_guard(instr.mnemonic, self._reg(instr.rs1),
+                                    self._reg(instr.rs2))
+                if out is None:
+                    break
+                taken, guard = out
+                if guard is not None:
+                    self.guards.append(guard)
+                self._tick(e, 2 if taken else 1)
+                trips += 1
+                if trips >= VEC_MIN_ITERS and \
+                        len(self.steps) - first >= VEC_MIN_WORK:
+                    break  # long enough for a window of its own
+                if not taken:
+                    return
+        except _Unsupported:
+            if self.budget[0] < 0:
+                raise
+        finally:
+            self.depth -= 1
+        for k, v in saved.items():
+            setattr(self, k, v)
+        self._nest(h, e)
+
+    # --------------------------------------------------------- nest
+    def _cell(self, key):
+        """The node holding memory cell ``key`` (a slot of this walk)."""
+        if key in self.slotsym:
+            return self.slotsym[key]
+        for k in range(len(self.stores) - 1, -1, -1):
+            a, v, size, _pos = self.stores[k]
+            if a == key and size == 4:
+                del self.stores[k]
+                self.slotsym[key] = v
+                return v
+        self.slotsym[key] = ("slotin", key)
+        self.slot_loaded.add(key)
+        return self.slotsym[key]
+
+    def _nest(self, h, e):
+        """Fold the inner branch loop ``h..e`` into this walk as one step
+        of ``T`` inner trips (``T`` the same for every outer iteration).
+
+        The inner loop's placeholders are replaced by this walk's current
+        nodes; an affine one becomes ``("j2", entry, stride)`` (its value
+        at inner trip ``j``), so the inner loads become 2-D, and each
+        carried value leaves the loop as its exit value: ``entry +
+        T*stride``, ``entry + sum over j of the terms``, or the body's
+        value at ``j = T-1``."""
+        if not self.nest_ok or self.depth or self.nest is not None:
+            raise _Unsupported("more than one inner loop, or deeper")
+        ti = _try_loop_template(self.program, self.wait, h, e, cond_term=e,
+                                budget=self.budget)
+        res = ti["res"]
+        entries = {}
+
+        def outer_key(key):
+            if not isinstance(key, tuple):
+                return key
+            key = sub(key)
+            if key[0] != "const":
+                return key
+            if key[1] % 4:
+                raise _Unsupported("unaligned carried cell")
+            return key[1]
+
+        def entry(p):
+            if p not in entries:
+                entries[p] = self._reg(p[1]) if p[0] == "regin" \
+                    else self._cell(outer_key(p[1]))
+            return entries[p]
+
+        memo = {}
+
+        def sub(n):
+            """Inner node -> node over this walk (2-D where it varies with
+            the inner trip)."""
+            if n[0] == "const":
+                return n
+            hit = memo.get(n)
+            if hit is not None:
+                return hit
+            k = n[0]
+            if k in ("regin", "slotin"):
+                spec = res.get(n, ("inv",))
+                if spec[0] == "inv":
+                    out = entry(n)
+                elif spec[0] == "aff":
+                    out = ("j2", entry(n), _sext(spec[1]))
+                else:
+                    raise _Unsupported("inner carried value read in loop")
+            elif k == "sum":
+                out = _sum_of([sub(x) for x in _addends(n)], n[3])
+            elif k == "alu":
+                out = ("alu", n[1], sub(n[2]), sub(n[3]), n[4])
+            elif k == "load":
+                out = ("load", sub(n[1]), n[2], n[3])
+            elif k == "pla":
+                out = ("pla", sub(n[1]), n[2])
+            else:
+                raise _Unsupported(k)
+            memo[n] = out
+            return out
+
+        # The trip count: the exit test compares an affine induction
+        # with an invariant.
+        m, a, b = ti["cond"]
+        swapped = _aff_stride(a, res) is None
+        ind, bound = (b, a) if swapped else (a, b)
+        s = _aff_stride(ind, res)
+        if s is None or not _invariant(bound, res):
+            raise _Unsupported("inner exit not closed-form")
+        root = ind if ind[0] != "sum" else ind[1]
+        x0 = _mk_addc(entry(root), ind[3] if ind[0] == "sum" else 0)
+        y = sub(bound)
+        nest = {"m": m, "s": s, "swapped": swapped, "x0": x0, "y": y,
+                "T": None}
+        out = _branch_trips(m, x0, s, y, swapped)
+        if out is not None:
+            nest["T"], guard = out
+            if guard is not None:
+                self.guards.append(guard)
+        self.nest = nest
+        T = nest["T"]
+
+        def tmul(c):
+            if T is not None:
+                return ("const", (c * T) & _M32)
+            return ("alu", "mul", ("trip",), ("const", c & _M32), 0)
+
+        def last(n):
+            """Inner node at its last trip (``j = T-1``)."""
+            if n[0] == "const":
+                return n
+            k = n[0]
+            if k in ("regin", "slotin"):
+                spec = res.get(n, ("inv",))
+                if spec[0] == "inv":
+                    return entry(n)
+                if spec[0] == "aff":
+                    c = _sext(spec[1])
+                    return _mk_addc(_mk_add2(entry(n), tmul(c)), -c)
+                raise _Unsupported("inner carried value read in loop")
+            if k == "sum":
+                p = n[1]
+                spec = res.get(p) if p is not None else None
+                if spec is not None and spec[0] == "acc" and \
+                        n == ("sum", p) + spec[1:]:
+                    # The accumulator after its last trip.
+                    total = _sum_of([sub(x) for x in spec[1]], 0)
+                    return _mk_add2(_mk_add2(entry(p), ("isum", total)),
+                                    tmul(_sext(spec[2])))
+                return _sum_of([last(x) for x in _addends(n)], n[3])
+            if k == "alu":
+                return ("alu", n[1], last(n[2]), last(n[3]), n[4])
+            if k == "load":
+                return ("load", last(n[1]), n[2], n[3])
+            if k == "pla":
+                return ("pla", last(n[1]), n[2])
+            raise _Unsupported(k)
+
+        pos = len(self.costs)
+        for node in ti["load_pos"]:
+            self.load_pos[sub(node)] = pos
+        for addr, value, size, _pos in ti["stores"]:
+            self.stores.append((sub(addr), sub(value), size, pos))
+        for x, signed, lo, hi in ti["guards"]:
+            self.guards.append((sub(x), signed, lo, hi))
+        exits = [(r, last(n)) for r, n in ti["writes"]]
+        slots = []
+        for key, n in ti["slots"]:
+            entry(("slotin", key))
+            slots.append((outer_key(key), last(n)))
+        for r, node in exits:
+            self._setreg(r, node)
+        for key, node in slots:
+            self.slotsym[key] = node
+        # Costs: the body runs T times, its closing branch is taken T-1
+        # times (2 cycles) and falls through once.
+        self.costs.append(0)
+        for i, kc, _kt, cc, _ct in ti["steps"][:-1]:
+            self.steps.append((i, 0, kc, 0, cc) if T is None
+                              else (i, kc * T, 0, cc * T, 0))
+        self.steps.append((e, 0, 1, -1, 2) if T is None
+                          else (e, T, 0, 2 * T - 1, 0))
+
+    # ------------------------------------------------------------ step
     def _step(self, pos, i):
         instr = self.program[i]
         spec = instr.spec
@@ -387,7 +737,7 @@ class _Walk:
             # Fall-through jump (codegen filler): pure 2-cycle timing
             # no-op inside an otherwise straight-line body.
             self._setreg(rd, ("const", (instr.addr + 4) & _M32))
-            self.costs.append(2)
+            self._tick(i, 2)
             return
 
         if m in ("mulh", "mulhu", "mulhsu") or \
@@ -414,7 +764,7 @@ class _Walk:
             self._setreg(rd, ("pla", self._reg(rs1), m == "pl.sig"))
         elif m.startswith("pl.sdotsp."):
             self._pl_sdotsp(pos, instr)
-            self.costs.append(1 + self.wait)
+            self._tick(i, 1 + self.wait)
             return
         elif spec.is_load:
             self._load(instr, pos)
@@ -425,8 +775,7 @@ class _Walk:
                               imm))
         else:
             raise _Unsupported(m)
-        self.costs.append(self._cost(
-            i, DIV_CYCLES if m in _DIV_OPS else 1))
+        self._tick(i, self._cost(i, DIV_CYCLES if m in _DIV_OPS else 1))
 
     def _load(self, instr, pos):
         spec = instr.spec
@@ -438,15 +787,17 @@ class _Walk:
             addr = _mk_addc(self._reg(instr.rs1), instr.imm)
         if spec.size == 4 and addr[0] == "const" and addr[1] % 4 == 0:
             key = addr[1]
-        elif spec.size == 4 and addr in self.slotsym:
-            key = addr  # node-keyed slot established by an earlier store
+        elif spec.size == 4 and (addr in self.slotsym or any(
+                a == addr and z == 4 for a, _v, z, _p in self.stores)):
+            # A node-keyed slot established by an earlier store: the
+            # load reads what this iteration stored (the address must
+            # prove loop-invariant).
+            key = addr
         else:
             key = None
         if key is not None:
-            if key not in self.slotsym:
-                self.slotsym[key] = ("slotin", key)
+            value = self._cell(key)
             self.slot_loaded.add(key)
-            value = self.slotsym[key]
         else:
             value = ("load", addr, spec.size, spec.signed)
             self.load_pos[value] = pos
@@ -469,7 +820,7 @@ class _Walk:
         value = self._reg(instr.rs2)
         if spec.size == 4 and addr[0] == "const" and addr[1] % 4 == 0:
             self.slotsym[addr[1]] = value
-        elif addr in self.slotsym:
+        elif spec.size == 4 and addr in self.slotsym:
             self.slotsym[addr] = value
         elif spec.size == 4 and addr in self.load_nodes:
             # The iteration loads and stores the same word address: a
@@ -530,7 +881,7 @@ class _Walk:
         """Every same-index SPR re-read must be >= 1 instruction away
         (cyclically): then it is provably stall-free, so the static
         1+wait cost is exact for all vectorized iterations."""
-        blen = len(self.idxs)
+        blen = len(self.costs)
         for k, ps in self.spr_pos.items():
             if not ps:
                 continue
@@ -555,7 +906,7 @@ def _collect_placeholders(node, out):
     elif k == "alu":
         _collect_placeholders(node[2], out)
         _collect_placeholders(node[3], out)
-    elif k in ("load", "pla"):
+    elif k in ("load", "pla", "j2", "isum"):
         _collect_placeholders(node[1], out)
 
 
@@ -601,7 +952,7 @@ def _finalize(walk, extra_roots=()):
         elif k == "alu":
             scan(node[2])
             scan(node[3])
-        elif k in ("load", "pla"):
+        elif k in ("load", "pla", "j2", "isum"):
             scan(node[1])
 
     writes = [(r, node) for r, node in walk.sym.items()
@@ -642,6 +993,17 @@ def _aff_stride(anode, res):
         return None
     spec = res[root]
     return _sext(spec[1]) if spec[0] == "aff" else None
+
+
+def _aff2(addr):
+    """``(base, stride)`` when a nest's inner address is ``base +
+    stride*j`` (``base`` an outer-loop node), else None."""
+    if addr[0] == "j2":
+        return addr[1], addr[2]
+    if addr[0] == "sum" and addr[1] is None and len(addr[2]) == 1 and \
+            addr[2][0][0] == "j2":
+        return _mk_addc(addr[2][0][1], addr[3]), addr[2][0][2]
+    return None
 
 
 def _sext(c):
@@ -747,6 +1109,35 @@ def _row(mem, base, stride, n, size, dtype):
     return view[((base + stride * _iota(n)) >> sh) - off]
 
 
+def _gather2(mem, mlen, bases, stride, T, size, dtype):
+    """Elements at ``base + stride*j`` (j < T) for every base, with their
+    byte range: a ``(members, n, T)`` array for ``(n,)`` base vectors,
+    ``(members, T)`` for int bases.  Bails when an address leaves
+    memory."""
+    vec = isinstance(bases[0], np.ndarray)
+    flat = np.concatenate(bases) if vec else np.array(bases, dtype=np.int64)
+    lo, hi = int(flat.min()), int(flat.max())
+    if stride > 0:
+        hi += stride * (T - 1)
+    else:
+        lo += stride * (T - 1)
+    if lo < 0 or hi >> 2 >= mlen:
+        raise _Bail
+    rows = len(flat)
+    if vec and len(bases) == 1 and stride == size and not lo % size and \
+            (rows == 1 or (np.diff(flat) == size * T).all()):
+        # Rows back to back (a matvec's weight block): one span.
+        sh = _LOG2[size]
+        view = _span(mem, lo, hi, dtype)
+        off = (lo >> sh) - ((lo >> 2) << (2 - sh))
+        out = view[off:off + rows * T].reshape(1, rows, T)
+    else:
+        out = _gather(mem, lo, hi, flat, stride, T, size, dtype)
+        if vec:
+            out = out.reshape(len(bases), -1, T)
+    return out, lo, hi + size - 1
+
+
 def _gather_at(mem, mlen, addr, size, dtype):
     """Elements at an arbitrary address vector, with its byte range;
     bails when an address leaves memory."""
@@ -798,7 +1189,7 @@ def _lanes(x, lanes):
     32-bit values: an ``(n, lanes)`` array, or a vector for a scalar."""
     if isinstance(x, np.ndarray):
         dt = np.int16 if lanes == 2 else np.int8
-        return x.astype(np.uint32).view(dt).reshape(-1, lanes) \
+        return x.astype(np.uint32).view(dt).reshape(x.shape + (lanes,)) \
             .astype(np.int64)
     return np.array(_halves(x) if lanes == 2 else _bytes4(x),
                     dtype=np.int64)
@@ -1015,7 +1406,8 @@ def _exit(m, x0, s, y, n, swapped):
 #: Names the generated kernels see besides their per-shape constants.
 _KERNEL_NS = {
     "np": np, "_Bail": _Bail, "_iota": _iota, "_ld": _ld, "_bounds": _bounds,
-    "_gather": _gather, "_gather_at": _gather_at, "_stride_of": _stride_of,
+    "_gather": _gather, "_gather2": _gather2, "_gather_at": _gather_at,
+    "_stride_of": _stride_of,
     "_with_prev": _with_prev, "_shift": _shift,
     "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v,
     "_rows_dot2h": _rows_dot2h, "_rows_dot4b": _rows_dot4b,
@@ -1091,10 +1483,34 @@ class _Lower:
         self.nvar = 0
         self.dyn = {}      # dynamic-address load -> (lo, hi, addr)
         self.finals = {}   # acc placeholder -> var of its final value
+        self.jv = {}       # node -> varies with the inner trip (nests)
 
     def J(self):
         """The iteration-index vector, emitted on first use."""
         return self.once("J", lambda: self.line("J = _iota(n)") or "J")
+
+    def Jt(self):
+        """The inner-trip index vector of a loop nest."""
+        return self.once("Jt", lambda: self.line(
+            f"Jt = _iota({self.trip()})") or "Jt")
+
+    def trip(self):
+        """The nest's inner trip count ``T``: a constant, or solved once
+        per window from the exit operands, which must not vary with the
+        outer loop."""
+        def build():
+            nest = self.t["nest"]
+            if nest["T"] is not None:
+                return str(nest["T"])
+            x0, y = nest["x0"], nest["y"]
+            if self.is_vec(x0) or self.is_vec(y):
+                raise _Unsupported("inner trip count varies")
+            self.line(f"T = _exit({nest['m']!r}, {self.S(x0)}, "
+                      f"{nest['s']}, {self.S(y)}, {NEST_ELEMS}, "
+                      f"{nest['swapped']}) + 1")
+            self.line(f"if T > {NEST_ELEMS}: raise _Bail")
+            return "T"
+        return self.once("T", build)
 
     # -------------------------------------------------------- plumbing
     def line(self, text):
@@ -1125,7 +1541,7 @@ class _Lower:
         if hit is not None:
             return hit
         k = node[0]
-        if k == "const":
+        if k in ("const", "trip"):
             out = False
         elif k in ("regin", "slotin"):
             out = self.res[node][0] != "inv"
@@ -1141,6 +1557,30 @@ class _Lower:
             out = self.is_vec(node[1])
         self.vec[node] = out
         return out
+
+    def is_j(self, node):
+        """Does ``node`` vary with a nest's inner trip?  Such a node
+        lowers to an ``(n, T)`` array (``(T,)`` when it does not vary with
+        the outer loop)."""
+        hit = self.jv.get(node)
+        if hit is not None:
+            return hit
+        k = node[0]
+        if k == "j2":
+            out = True
+        elif k in ("const", "regin", "slotin", "sprin", "trip", "isum"):
+            out = False
+        elif k == "sum":
+            out = any(self.is_j(x) for x in _addends(node))
+        elif k == "alu":
+            out = self.is_j(node[2]) or self.is_j(node[3])
+        else:  # load, pla
+            out = self.is_j(node[1])
+        self.jv[node] = out
+        return out
+
+    def arr(self, node):
+        return self.is_vec(node) or self.is_j(node)
 
     def affine(self, node):
         """``(x0, stride)`` when ``node`` is ``x0 + stride*j``, else None."""
@@ -1205,6 +1645,10 @@ class _Lower:
             tbl = "_SIG_M, _SIG_Q" if node[2] else "_TANH_M, _TANH_Q"
             return self.tmp(f"_pla_scalar(_signed32({self.S(node[1])}), "
                             f"{tbl}, {node[2]}) & {_M}")
+        if k == "trip":
+            return self.trip()
+        if k == "isum":
+            return self.tmp(f"{self._isum(node[1], False)} & {_M}")
         # sprin reading a loop-invariant occurrence
         return self.S(self.t["spr"][node[1]][node[2] - 1])
 
@@ -1212,49 +1656,81 @@ class _Lower:
     def V(self, node):
         return self.once(("V", node), lambda: self._vector(node))
 
-    def w(self, node):
+    def col(self, node, v, two):
+        """``v``, an outer-loop vector, as an ``(n, 1)`` column when it
+        meets inner-trip arrays (``two``)."""
+        if not two or self.is_j(node) or not self.is_vec(node):
+            return v
+        return self.once(("col", v), lambda: self.tmp(f"{v}[:, None]"))
+
+    def w(self, node, two=False):
         """Expression for ``node`` in any form (vector or scalar)."""
-        return self.V(node)[0] if self.is_vec(node) else self.S(node)
+        if not self.arr(node):
+            return self.S(node)
+        return self.col(node, self.V(node)[0], two)
 
     def form(self, node):
-        return self.V(node)[1] if self.is_vec(node) else "u"
+        return self.V(node)[1] if self.arr(node) else "u"
 
-    def as_u(self, node):
-        if not self.is_vec(node):
+    def as_u(self, node, two=False):
+        if not self.arr(node):
             return self.S(node)
         v, f = self.V(node)
-        if f == "u":
-            return v
-        return self.once(("u", node), lambda: self.tmp(f"{v} & {_M}"))
+        u = v if f == "u" else self.once(
+            ("u", node), lambda: self.tmp(f"{v} & {_M}"))
+        return self.col(node, u, two)
 
-    def as_s(self, node):
-        if not self.is_vec(node):
+    def as_s(self, node, two=False):
+        if not self.arr(node):
             return self.once(("ss", node), lambda: self.tmp(
                 f"_signed32({self.S(node)})"))
         v, f = self.V(node)
-        if f == "s":
-            return v
         src = v if f == "u" else f"({v} & {_M})"
-        return self.once(("s", node), lambda: self.tmp(
-            f"({src} ^ {_B}) - {_B}"))
+        sv = v if f == "s" else self.once(
+            ("s", node), lambda: self.tmp(f"({src} ^ {_B}) - {_B}"))
+        return self.col(node, sv, two)
 
     def _vector(self, node):
         k = node[0]
+        two = self.is_j(node)
         if k in ("regin", "slotin"):
             return self._carried(node)
         if k == "sprin":
             return self._sprin(node)
         if k == "sum":
-            parts = [self.w(x) for x in _addends(node)]
+            parts = [self.w(x, two) for x in _addends(node)]
             c = _sext(node[3])
             if c:
                 parts.append(str(c))
             return self.tmp(" + ".join(parts)), "w"
         if k == "alu":
-            return self._alu(*node[1:])
+            return self._alu(*node[1:], two=two)
         if k == "load":
             return self._load(node)
-        return self.tmp(f"_pla_s({self.as_s(node[1])}, {node[2]})"), "s"
+        if k == "j2":
+            return self.tmp(f"{self.w(node[1], True)} + {node[2]} * "
+                            f"{self.Jt()}"), "w"
+        if k == "isum":
+            return self.tmp(self._isum(node[1], True)), "w"
+        return self.tmp(f"_pla_s({self.as_s(node[1], two)}, "
+                        f"{node[2]})"), "s"
+
+    def _isum(self, total, vec):
+        """Expression for the sum of ``total`` over the inner trips (an
+        outer-loop vector when ``vec``, else a Python int)."""
+        parts, c = (_addends(total), total[3]) if total[0] == "sum" \
+            else ([total], 0)
+        inner = [x for x in parts if self.is_j(x)]
+        out = []
+        if inner:
+            tot = f"({' + '.join(self.w(x, True) for x in inner)})"
+            out.append(f"{tot}.sum(axis=-1)" if vec and any(
+                self.is_vec(x) for x in inner) else f"int({tot}.sum())")
+        T = self.trip()
+        out += [f"{T} * {self.w(x)}" for x in parts if not self.is_j(x)]
+        if c:
+            out.append(f"{T} * {_sext(c)}")
+        return f"({' + '.join(out)})"
 
     def _carried(self, p):
         spec = self.res[p]
@@ -1264,7 +1740,10 @@ class _Lower:
         if spec[0] == "acc":
             parts = [self.w(t) for t in spec[1]]
             if not any(self.is_vec(t) for t in spec[1]):
-                parts = [f"np.full(n, {' + '.join(parts)}, np.int64)"]
+                # Invariant terms: an induction with a runtime stride.
+                step = self.tmp(f"({' + '.join(parts)} + "
+                                f"{_sext(spec[2])}) & {_M}")
+                return self.tmp(f"{x0} + {step} * {self.J()}"), "w"
             tot = self.tmp(" + ".join(parts))
             return self.tmp(f"{x0} + {_sext(spec[2])} * {self.J()} + "
                             f"_excl_cumsum({tot})"), "w"
@@ -1293,6 +1772,11 @@ class _Lower:
         gi = self.gof.get(node)
         if gi is not None:
             return self.tmp(f"{self.mat64(gi[0])}[{gi[1]}]"), form
+        gi = self.groups2()[1].get(node)
+        if gi is not None:
+            m = self.once(("m2_64", gi[0]), lambda: self.tmp(
+                f"{self.mat2(gi[0])[0]}.astype(np.int64)"))
+            return self.tmp(f"{m}[{gi[1]}]"), form
         a = self.as_u(node[1])
         raw, lo, hi = f"v{self.nvar}", f"v{self.nvar + 1}", \
             f"v{self.nvar + 2}"
@@ -1302,15 +1786,23 @@ class _Lower:
         self.dyn[node] = (lo, hi, a)
         return self.tmp(f"{raw}.astype(np.int64)"), form
 
-    def _alu(self, m, a, b, imm):
+    def _alu(self, m, a, b, imm, two=False):
         if m in _VOPS:
             def u64(x):
-                return f"{self.as_u(x)}.view(np.uint64)" if self.is_vec(x) \
-                    else f"np.uint64({self.S(x)})"
+                return f"{self.as_u(x, two)}.view(np.uint64)" \
+                    if self.arr(x) else f"np.uint64({self.S(x)})"
             fn = self.once(("vop", m), lambda: self.const(_VOPS[m]))
             return self.tmp(f"{fn}({u64(a)}, {u64(b)}, {imm})"
                             ".view(np.int64)"), "u"
-        w, su, ss = self.w, self.as_u, self.as_s
+
+        def w(x):
+            return self.w(x, two)
+
+        def su(x):
+            return self.as_u(x, two)
+
+        def ss(x):
+            return self.as_s(x, two)
         if m in ("add", "sub", "mul"):
             op = {"add": "+", "sub": "-", "mul": "*"}[m]
             return self.tmp(f"{w(a)} {op} {w(b)}"), "w"
@@ -1397,6 +1889,43 @@ class _Lower:
                 m = self.tmp(f"_with_prev({m}, ({prev},))")
             return m
         return self.once(("mat", g), build)
+
+    def groups2(self):
+        """Affine loads of a nest's inner loop, grouped by (size, sign,
+        inner stride, whether the base moves with the outer loop): each
+        group is read as one ``(members, n, T)`` (or ``(members, T)``)
+        array."""
+        def build():
+            groups, of, index = [], {}, {}
+            pos = self.t["load_pos"]
+            for node in sorted(pos, key=pos.get):
+                af = _aff2(node[1]) if self.is_j(node) else None
+                if af is None:
+                    continue
+                base, s = af
+                key = (node[2], node[3], s, self.is_vec(base))
+                g = index.get(key)
+                if g is None:
+                    g = index[key] = len(groups)
+                    groups.append({"size": node[2], "signed": node[3],
+                                   "stride": s, "bases": []})
+                of[node] = (g, len(groups[g]["bases"]))
+                groups[g]["bases"].append(base)
+            return groups, of
+        return self.once("groups2", build)
+
+    def mat2(self, g):
+        """Raw element array and byte range of 2-D load group ``g``."""
+        def build():
+            grp = self.groups2()[0][g]
+            bases = ", ".join(self.as_u(b) for b in grp["bases"])
+            dt = self.const(_ELEM[grp["size"], grp["signed"]])
+            m, lo, hi = (f"v{self.nvar + i}" for i in range(3))
+            self.nvar += 3
+            self.line(f"{m}, {lo}, {hi} = _gather2(mem, mlen, [{bases}], "
+                      f"{grp['stride']}, {self.trip()}, {grp['size']}, {dt})")
+            return m, lo, hi
+        return self.once(("mat2", g), build)
 
     def mat64(self, g):
         return self.once(("mat64", g), lambda: self.tmp(
@@ -1509,6 +2038,16 @@ class _Lower:
         """Range-check ``node`` (even if its value is dead) and return
         its ``(pos, lo, hi, base, stride, size)`` record expression."""
         size = node[2]
+        if self.is_j(node):
+            # A nest's inner load: its whole 2-D range, with no stride
+            # (any overlap with a store bails).
+            gi = self.groups2()[1].get(node)
+            if gi is not None:
+                _m, lo, hi = self.mat2(gi[0])
+                return f"({pos}, {lo}, {hi}, {lo}, None, {size})"
+            self.V(node)
+            lo, hi, _a = self.dyn[node]
+            return f"({pos}, {lo}, {hi} + {size - 1}, {lo}, None, {size})"
         gi = self.gof.get(node)
         if gi is not None:
             self.group(gi[0])
@@ -1549,6 +2088,23 @@ def _lower_body(t, groups):
     sprs = [(k, lw.L(occ[-1])) for k, occ in t["spr"].items() if occ]
     stores, srecs = [], []
     for anode, vnode, size, pos in t["stores"]:
+        if lw.is_j(anode) or lw.is_j(vnode):
+            # A nest's inner store: T stores per outer iteration, in
+            # order; no stride (any overlap with another access bails).
+            T = lw.trip()
+            base, stride = f"v{lw.nvar}", f"v{lw.nvar + 1}"
+            lw.nvar += 2
+            lw.line(f"{base}, {stride} = _store_vec(np.broadcast_to("
+                    f"{lw.as_u(anode, True)}, (n, {T})).ravel(), n * {T})")
+            value = lw.tmp(f"np.broadcast_to({lw.w(vnode, True)}, "
+                           f"(n, {T})).ravel()")
+            lo, hi, st = f"v{lw.nvar}", f"v{lw.nvar + 1}", f"v{lw.nvar + 2}"
+            lw.nvar += 3
+            lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {stride}, "
+                    f"n * {T}, {size}, mbytes)")
+            stores.append((size, base, st, value, f"n * {T}"))
+            srecs.append(f"({pos}, {lo}, {hi}, {base}, None, {size})")
+            continue
         if lw.is_vec(anode):
             af = lw.affine(anode)
             if af is not None:
@@ -1564,10 +2120,11 @@ def _lower_body(t, groups):
         lw.nvar += 3
         lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {stride}, n, "
                 f"{size}, mbytes)")
-        stores.append((size, base, st, value))
+        stores.append((size, base, st, value, "n"))
         srecs.append(f"({pos}, {lo}, {hi}, {base}, {st}, {size})")
     lrecs = [lw.load_rec(node, pos) for node, pos in
              sorted(t["load_pos"].items(), key=lambda kv: kv[1])]
+    _lower_guards(lw, t["guards"])
     slot_ids = {key: i for i, key in enumerate(
         sorted({key for key, _ in t["slots"]} | set(t["sloads"]),
                key=repr))}
@@ -1580,24 +2137,57 @@ def _lower_body(t, groups):
                 f"{len(stores)}, [{', '.join(f'({i}, {a})' for i, a in sread)}"
                 f"], [{', '.join(f'({i}, {a})' for i, a in swrite)}])")
     # ---------------------------------------------- all checks passed
-    for size, base, st, value in stores:
-        lw.line(f"_store(mem, {size}, {base}, {st}, n, {value})")
+    for size, base, st, value, count in stores:
+        lw.line(f"_store(mem, {size}, {base}, {st}, {count}, {value})")
     for a, value in slots:
         lw.line(f"mem[{a} >> 2] = {value}")
     for r, value in regs:
         lw.line(f"regs[{r}] = {value}")
-    for i, cost in enumerate(t["costs"]):
-        lw.line(f"x = cells[{i}]; x[0] += n; x[1] += {cost} * n")
+    T = lw.trip() if t["nest"] is not None else None
+    for off, (kc, kt, cc, ct) in t["cells"]:
+        lw.line(f"x = cells[{off}]; x[0] += {_lin(kc, kt, T)} * n; "
+                f"x[1] += {_lin(cc, ct, T)} * n")
     for pos, k in t["spr_first"]:
         lw.line(f"cells[{pos}][1] += w{k}")
-    total = " + ".join([f"{sum(t['costs'])} * n"] + stalls)
+    sums = [sum(c[k] for _, c in t["cells"]) for k in range(4)]
+    total = " + ".join([f"{_lin(sums[2], sums[3], T)} * n"] + stalls)
     lw.line(f"clk[0] += {total}")
     for k, value in sprs:
         lw.line(f"sprs[{k}] = {value}")
         lw.line(f"ready[{k}] = clk[0] + {2 - t['spr_tail'][k]}")
-    lw.line(f"xi[0] += {len(t['costs'])} * n")
+    lw.line(f"xi[0] += {_lin(sums[0], sums[1], T)} * n")
     return lw.source("def body(regs, mem, sprs, n, cells, clk, ready, xi):"), \
         lw.consts
+
+
+def _lin(c, per_trip, T):
+    """Source of ``c + per_trip*T``."""
+    return str(c) if not per_trip else f"({c} + {per_trip} * {T})"
+
+
+def _lower_guards(lw, guards):
+    """Bail unless every unrolled branch decision holds over the window:
+    each guarded value stays inside its no-wrap range."""
+    ranges = {}
+    for x, signed, lo, hi in guards:
+        r = ranges.setdefault((x, signed), [lo, hi])
+        r[0], r[1] = max(r[0], lo), min(r[1], hi)
+    for (x, signed), (lo, hi) in ranges.items():
+        if lo > hi:
+            raise _Unsupported("contradictory unrolled branches")
+        v = lw.as_s(x) if signed else lw.as_u(x)
+        if lw.arr(x):
+            lw.line(f"if {v}.min() < {lo} or {v}.max() > {hi}: raise _Bail")
+        else:
+            lw.line(f"if not {lo} <= {v} <= {hi}: raise _Bail")
+
+
+def _lower_trip(t, groups):
+    """Source of ``trip(regs, mem)``: a nest's inner trip count."""
+    lw = _Lower(t, groups)
+    lw.line("mlen = len(mem)")
+    lw.line(f"return {lw.trip()}")
+    return lw.source("def trip(regs, mem):"), lw.consts
 
 
 def _lower_cond(t, groups):
@@ -1626,10 +2216,14 @@ def _lower_cond(t, groups):
 
 
 class _Kernel:
-    """The generated functions of one loop-body shape."""
+    """The generated functions of one loop-body shape.
+
+    An iteration retires ``blen + blen_t*T`` instructions, ``T`` being a
+    loop nest's inner trip count (``trip``, or the constant ``T``)."""
 
     def __init__(self, t):
-        self.blen = len(t["costs"])
+        self.blen = sum(c[0] for _, c in t["cells"])
+        self.blen_t = sum(c[1] for _, c in t["cells"])
         self.br_cost = t["costs"][-1]
         groups = _load_groups(t)
         src, consts = _lower_body(t, groups)
@@ -1640,6 +2234,13 @@ class _Kernel:
             src, consts, self.exact = _lower_cond(t, groups)
             self.source += "\n" + src
             self.cond = _exec(src, consts, "cond")
+        self.nest = t["nest"] is not None
+        self.T = t["nest"]["T"] if self.nest else None
+        self.trip = None
+        if self.nest and self.T is None:
+            src, consts = _lower_trip(t, groups)
+            self.source += "\n" + src
+            self.trip = _exec(src, consts, "trip")
 
 
 def _exec(src, consts, name):
@@ -1682,7 +2283,8 @@ def _loop_kernel(program, wait, kind, bs, be):
         return kernel
     try:
         kernel = _Kernel(_try_loop_template(
-            program, wait, bs, be, cond_term=be if kind == "br" else None))
+            program, wait, bs, be, cond_term=be if kind == "br" else None,
+            nest=kind == "br"))
         _TURBO_EVENTS.inc(event="kernel_compile")
     except _Unsupported:
         kernel = None
@@ -1781,13 +2383,15 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         _BAILS.inc()
 
     def iteration():
-        i = bs
+        i, count = bs, 1
         try:
             while True:
                 j = code[i]()
                 if i == be:
+                    xi[0] += count
                     return j
                 i = j
+                count += 1
         except IndexError:
             _reraise_oob(cpu, i)
 
@@ -1852,10 +2456,8 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
                     j = bs
                     while j == bs:
                         j = iteration()
-                        xi[0] += blen
                     return j
         j = iteration()
-        xi[0] += blen
         if j != bs or exact or state["bails"] >= MAX_BAILS:
             return j
         hint = state["hint"]
@@ -1863,6 +2465,71 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
             return bs  # scalar: one iteration per wrapper call
         nxt = windows(None, max(MIN_VEC, min(hint * 2, N_MAX)))
         return bs if nxt is None else nxt
+    return wrapper
+
+
+def _make_nest_wrapper(cpu, idx, plan, fallback):
+    """A two-level loop nest at its outer head: windows of whole outer
+    iterations, ``T`` inner trips each; ``fallback`` (the head block's
+    fused stepper, or its closure) runs when no window does."""
+    hw = cpu._hw
+    bs, be = plan["bs"], plan["be"]
+    kernel = plan["kernel"]
+    body, cond, trip = kernel.body, kernel.cond, kernel.trip
+    blen, blen_t, br_cost = kernel.blen, kernel.blen_t, kernel.br_cost
+    regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
+    cells = cpu._stats[bs:be + 1]
+    last = cpu._stats[be]
+    clk, ready = cpu.clk, cpu._spr_ready
+    xi = cpu._xinstret
+    xlimit = cpu._xlimit
+    tstats = cpu.turbo_stats
+    state = {"bails": 0}
+
+    def bail():
+        state["bails"] += 1
+        tstats["bails"] += 1
+        _BAILS.inc()
+
+    def wrapper():
+        if hw[0] or hw[4] or state["bails"] >= MAX_BAILS:
+            return fallback()
+        try:
+            k = cond(regs, mem, sprs, N_MAX)
+            T = kernel.T if trip is None else trip(regs, mem)
+        except _Bail:
+            bail()
+            return fallback()
+        # The loop exits after k + 1 iterations; k == N_MAX: not within
+        # N_MAX, so commit N_MAX and resume at the head.
+        trips = min(k + 1, N_MAX)
+        if trips * (blen + blen_t * T) < VEC_MIN_WORK:
+            return fallback()
+        chunk = max(1, NEST_ELEMS // T)
+        done = 0
+        xi[0] -= 1  # the dispatch counted one; count what retires here
+        while done < trips:
+            r = min(trips - done, chunk)
+            try:
+                body(regs, mem, sprs, r, cells, clk, ready, xi)
+            except _Bail:
+                bail()
+                if done:
+                    return bs  # committed whole outer iterations
+                xi[0] += 1
+                return fallback()
+            done += r
+            # taken branches cost 2; the exit branch falls through for 1
+            extra = 2 * r - (1 if done > k else 0) - r * br_cost
+            clk[0] += extra
+            last[1] += extra
+            tstats["vector_loops"] += 1
+            tstats["nest_loops"] += 1
+            tstats["vector_iters"] += r
+            if xi[0] > xlimit[0]:
+                raise ExecutionLimitExceeded(
+                    f"exceeded {cpu.max_instrs} instructions")
+        return be + 1 if done > k else bs
     return wrapper
 
 
@@ -1892,22 +2559,34 @@ def _make_fuse_wrapper(cpu, idx, end):
 # ----------------------------------------------------------------------
 # Program analysis: which entries get which wrapper
 # ----------------------------------------------------------------------
-def _try_loop_template(program, wait, bs, be, cond_term=None):
-    idxs = range(bs, be + (0 if cond_term else 1))
-    walk = _Walk(program, idxs, wait, allow_spr=cond_term is None)
+def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
+                       budget=None):
+    stop = be if cond_term is None else be - 1
+    walk = _Walk(program, bs, stop, wait, allow_spr=cond_term is None,
+                 nest=nest, budget=budget)
     extra = list(walk.load_pos)  # every access is range-checked
+    extra += [g[0] for g in walk.guards]
+    if walk.nest is not None:
+        extra += [walk.nest["x0"], walk.nest["y"]]
     cond = None
     if cond_term is not None:
         instr = program[cond_term]
         a, b = walk._reg(instr.rs1), walk._reg(instr.rs2)
         cond = (instr.mnemonic, a, b)
         extra += [a, b]
-        walk.costs.append(1)  # branch base (taken penalty at commit)
+        walk._tick(cond_term, 1)  # branch base (taken penalty at commit)
     res, writes, slots = _finalize(walk, extra)
+    cells = {}
+    for i, kc, kt, cc, ct in walk.steps:
+        cell = cells.setdefault(i - bs, [0, 0, 0, 0])
+        for k, v in enumerate((kc, kt, cc, ct)):
+            cell[k] += v
     t = {"costs": walk.costs, "writes": writes, "slots": slots,
          "stores": walk.stores, "spr": walk.spr, "res": res,
          "sloads": sorted(walk.slot_loaded, key=repr),
-         "load_pos": walk.load_pos, "cond": cond, "spr_tail": {}}
+         "load_pos": walk.load_pos, "cond": cond, "spr_tail": {},
+         "steps": walk.steps, "cells": sorted(cells.items()),
+         "guards": walk.guards, "nest": walk.nest}
     for k, ps in walk.spr_pos.items():
         if ps:
             t["spr_tail"][k] = sum(walk.costs[ps[-1]:])
@@ -1919,9 +2598,10 @@ def _try_loop_template(program, wait, bs, be, cond_term=None):
 def analyze_program(program, wait_states=0):
     """Compile-time analysis: map instruction index -> turbo plan.
 
-    Returns ``{idx: ("hw"|"br", plan) | ("fuse", end)}`` where a loop
-    plan holds its body span, loop register and shape-shared kernel;
-    cached per :class:`Program` by :func:`build_turbo_code`.
+    Returns ``{idx: ("hw"|"br"|"nest", plan) | ("fuse", end)}`` where a
+    loop plan holds its body span, loop register and shape-shared kernel
+    (a nest plan also the end of the head block it fuses when no window
+    runs); cached per :class:`Program` by :func:`build_turbo_code`.
     """
     cfg = build_cfg(program)
     plans = {}
@@ -1962,28 +2642,44 @@ def analyze_program(program, wait_states=0):
                                       "loopreg": lp.index})
         _TURBO_EVENTS.inc(event="compile_hw")
 
-    def in_loop(i):
-        return any(lo <= i <= hi for lo, hi in loop_spans)
+    # Hardware-loop spans covering each index (setup to body end).
+    covered = [0] * (len(program) + 1)
+    for lo, hi in loop_spans:
+        covered[lo] += 1
+        covered[hi + 1] -= 1
+    for i in range(1, len(covered)):
+        covered[i] += covered[i - 1]
+    setups = {lo for lo, _ in loop_spans}
 
     for block in cfg.blocks:
-        if block.id not in cfg.reachable or block.start in plans:
+        start, end = block.start, block.end
+        if block.id not in cfg.reachable or start in plans:
             continue
-        if in_loop(block.start) or in_loop(block.end):
+        # A block may end at its own loop's setup (a level-e tile
+        # prologue): the fused stepper stops before it.
+        if covered[start] or covered[end] > (end in setups):
             continue
-        term = program[block.end]
-        if term.spec.is_branch and \
-                (term.addr + term.imm) // 4 == block.start and \
-                block.end > block.start:
-            kernel = _loop_kernel(program, wait_states, "br",
-                                  block.start, block.end)
-            if kernel is None:
+        term = program[end]
+        head = (term.addr + term.imm) // 4
+        if term.spec.is_branch and head <= start and head < end and \
+                not covered[head] and \
+                cfg.block_at(head).id in cfg.reachable:
+            # A branch loop; one over several blocks holds inner loops
+            # that unroll, or one that becomes a nest's inner level.
+            kernel = _loop_kernel(program, wait_states, "br", head, end)
+            if kernel is not None and (kernel.exact or not kernel.nest):
+                plan = {"kernel": kernel, "bs": head, "be": end}
+                kind = "nest" if kernel.nest else "br"
+                if kernel.nest:
+                    old = plans.get(head)
+                    plan["fuse"] = old[1] if old and old[0] == "fuse" \
+                        else None
+                plans[head] = (kind, plan)
+                _TURBO_EVENTS.inc(event=f"compile_{kind}")
+            if head == start:
                 continue
-            plans[block.start] = ("br", {"kernel": kernel,
-                                         "bs": block.start,
-                                         "be": block.end})
-            _TURBO_EVENTS.inc(event="compile_br")
-        elif len(block) >= FUSE_MIN:
-            plans[block.start] = ("fuse", block.end)
+        if len(block) >= FUSE_MIN:
+            plans[start] = ("fuse", end)
             _TURBO_EVENTS.inc(event="compile_fuse")
     return plans
 
@@ -2019,6 +2715,12 @@ def build_turbo_code(cpu):
                     or trips * plan[1]["kernel"].blen < VEC_MIN_WORK):
                 continue  # proven too short to vectorize: plain closures
             tcode[idx] = _make_br_wrapper(cpu, idx, plan[1], trips)
+        elif plan[0] == "nest":
+            end = plan[1]["fuse"]
+            fallback = cpu._code[idx] if end is None \
+                else _make_fuse_wrapper(cpu, idx, end)
+            tcode[idx] = _make_nest_wrapper(cpu, idx, plan[1], fallback)
+            nfuse += end is not None
         else:
             tcode[idx] = _make_fuse_wrapper(cpu, idx, plan[1])
             nfuse += 1

@@ -14,6 +14,13 @@ partially vectorizes, or must bail on.  Loop trip counts straddle the
 vectorization thresholds, and each chunk must reach the vector path in a
 minimum number of cases, so the corpus cannot silently degrade into
 interpreter against interpreter.
+
+A second corpus draws two-level loop nests in the shape of the level-a
+kernels: a row loop around one inner branch loop (a constant counter, a
+pointer against a bound fixed before the nest, a pointer against a bound
+a constant away, or a triangular bound), memory-resident or register
+accumulators, inner stores, short loops inside the inner body, and
+outputs that sometimes overwrite a later row's input.
 """
 
 import numpy as np
@@ -159,12 +166,127 @@ class _Gen:
         return "\n".join(self.lines) + "\n"
 
 
+class _NestGen:
+    """A random two-level loop nest (see the module docstring)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.lines = []
+
+    def emit(self, *lines):
+        self.lines.extend(lines)
+
+    def _alu(self):
+        """One ALU op whose result no later iteration feeds back."""
+        rng = self.rng
+        d = rng.choice(["a3", "a5"])
+        a, b = rng.choice(["t3", "t4", "t5", "s2", "s3"], size=2)
+        if rng.random() < 0.5:
+            self.emit(f"{rng.choice(['add', 'sub', 'xor', 'and'])} "
+                      f"{d}, {a}, {b}")
+        else:
+            self.emit(f"{rng.choice(['addi', 'srai', 'slli'])} {d}, {a}, "
+                      f"{int(rng.integers(0, 8))}")
+
+    def program_text(self):
+        rng = self.rng
+        rows = int(rng.integers(1, 17))
+        trips = int(rng.choice([1, 3, 8, 9, 16, 24, 40, 64]))
+        inner = rng.choice(["count", "bound", "near", "triangle"],
+                           p=[0.3, 0.3, 0.25, 0.15])
+        slot = rng.random() < 0.7
+        x_base = 0x4000 + 2 * int(rng.integers(0, 64))
+        out = x_base + 2 * int(rng.integers(0, 4)) if rng.random() < 0.15 \
+            else 0x9000
+        for reg in ("a0", "a3", "a5", "t3", "t4", "t5"):
+            self.emit(f"li {reg}, {int(rng.integers(-4096, 4096))}")
+        self.emit("li s1, 0x100", "li s2, 0x1000", f"li s3, {x_base}",
+                  f"li s8, {out}", f"li s9, {x_base + 2 * trips}",
+                  f"li s10, {x_base + 2}", f"li a6, {rows}", "mv t0, s2",
+                  "li s11, 0xa000", "mv t1, s3")
+        # the input pointer runs on across rows (its bound, for "near",
+        # moves with it: the same trip count on every row)
+        stream = inner in ("count", "near") and rng.random() < 0.3
+        self.emit("outer:")
+        if rng.random() < 0.5:
+            self._alu()
+        if slot:
+            self.emit("sw a3, 0(s1)")
+        if not stream:
+            self.emit("mv t1, s3")
+        reset = rng.random() < 0.4
+        if reset:
+            self.emit("mv t0, s2")  # every row re-reads one weight row
+        if inner == "count":
+            self.emit(f"li a4, {trips}")
+        elif inner == "near":
+            self.emit(f"addi t6, t1, {2 * trips}")
+        self.emit("inner:")
+        if slot:
+            self.emit("lw t2, 0(s1)")
+        self.emit("lh t4, 0(t0)", "addi t0, t0, 2", "lh t5, 0(t1)",
+                  "addi t1, t1, 2")
+        if rng.random() < 0.3:
+            # a short loop inside the inner body: always unrolled
+            self.emit("li a7, 2", "short:", "add a5, a5, t4",
+                      "addi a7, a7, -1", "bne a7, x0, short")
+        self.emit("p.mac t2, t4, t5" if slot else "p.mac a0, t4, t5")
+        if rng.random() < 0.4:
+            self._alu()
+        if slot:
+            self.emit("sw t2, 0(s1)")
+        if rng.random() < 0.3:
+            # an inner store: its own stream, or interleaved with the
+            # row outputs (then every window bails)
+            ptr = rng.choice(["s8", "s11"])
+            self.emit(f"sh t5, 0({ptr})", f"addi {ptr}, {ptr}, 2")
+        self.emit({"count": "addi a4, a4, -1\nbne a4, x0, inner",
+                   "bound": "bltu t1, s9, inner",
+                   "near": "bltu t1, t6, inner",
+                   "triangle": "bltu t1, s10, inner"}[inner])
+        if slot:
+            self.emit("lw t2, 0(s1)", "srai t2, t2, 12")
+        self.emit(f"sh {'t2' if slot else 'a0'}, 0(s8)", "addi s8, s8, 2")
+        if inner == "triangle":
+            self.emit("addi s10, s10, 2")
+        if rng.random() < 0.5:
+            self._alu()
+        if slot and rng.random() < 0.15:
+            self.emit("addi s1, s1, 4")  # a new accumulator cell per row
+        if not reset and rng.random() < 0.3:
+            # the row loop ends on the weight pointer the inner loop
+            # advances
+            self.lines.insert(0, f"li s7, {0x1000 + 2 * trips * rows}")
+            self.emit("bltu t0, s7, outer", "ebreak")
+        else:
+            self.emit("addi a6, a6, -1", "bne a6, x0, outer", "ebreak")
+        return "\n".join(self.lines) + "\n"
+
+
 def _execute(program, image, engine):
     memory = Memory(1 << 16)
     memory.store_halfwords(0x1000, image)
     cpu = Cpu(program, memory, engine=engine)
     cpu.run()
     return cpu, memory
+
+
+def _run_equivalent(text, image, ctx):
+    """Run ``text`` on both engines, assert total equivalence and return
+    the turbo CPU."""
+    program = assemble(text)
+    ref_cpu, ref_mem = _execute(program, image, "interp")
+    tur_cpu, tur_mem = _execute(program, image, "turbo")
+    ctx = f"{ctx}:\n{text}"
+    assert tur_cpu.instret == ref_cpu.instret, ctx
+    assert tur_cpu.cycles == ref_cpu.cycles, ctx
+    for r in range(32):
+        assert tur_cpu.reg(r) == ref_cpu.reg(r), f"x{r} {ctx}"
+    assert list(tur_cpu.sprs) == list(ref_cpu.sprs), ctx
+    assert tur_mem.words == ref_mem.words, ctx
+    for i, (got, want) in enumerate(zip(tur_cpu._stats, ref_cpu._stats)):
+        assert got == want, f"cell {i} ({program[i]}) {ctx}"
+    return tur_cpu
 
 
 @pytest.mark.parametrize("chunk", range(4))
@@ -174,20 +296,28 @@ def test_turbo_matches_interpreter(chunk):
     for case in range(chunk * per_chunk, (chunk + 1) * per_chunk):
         rng = np.random.default_rng(1000 + case)
         text = _Gen(rng).program_text()
-        program = assemble(text)
         image = rng.integers(0, 1 << 16, 2048)
-        ref_cpu, ref_mem = _execute(program, image, "interp")
-        tur_cpu, tur_mem = _execute(program, image, "turbo")
-        ctx = f"case {case}:\n{text}"
-        assert tur_cpu.instret == ref_cpu.instret, ctx
-        assert tur_cpu.cycles == ref_cpu.cycles, ctx
-        for r in range(32):
-            assert tur_cpu.reg(r) == ref_cpu.reg(r), f"x{r} {ctx}"
-        assert list(tur_cpu.sprs) == list(ref_cpu.sprs), ctx
-        assert tur_mem.words == ref_mem.words, ctx
-        for i, (got, want) in enumerate(zip(tur_cpu._stats,
-                                            ref_cpu._stats)):
-            assert got == want, f"cell {i} ({program[i]}) {ctx}"
+        tur_cpu = _run_equivalent(text, image, f"case {case}")
         vector_cases += tur_cpu.turbo_stats["vector_loops"] > 0
     assert vector_cases >= MIN_VECTOR_CASES, \
         f"only {vector_cases} of {per_chunk} cases reached a vector window"
+
+
+N_NEST_CASES = 120
+#: Nest cases per chunk (of N_NEST_CASES // 2) that must run a nest
+#: window.
+MIN_NEST_CASES = 15
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_nests_match_interpreter(chunk):
+    per_chunk = N_NEST_CASES // 2
+    nest_cases = 0
+    for case in range(chunk * per_chunk, (chunk + 1) * per_chunk):
+        rng = np.random.default_rng(5000 + case)
+        text = _NestGen(rng).program_text()
+        image = rng.integers(0, 1 << 16, 8192)
+        tur_cpu = _run_equivalent(text, image, f"nest case {case}")
+        nest_cases += tur_cpu.turbo_stats["nest_loops"] > 0
+    assert nest_cases >= MIN_NEST_CASES, \
+        f"only {nest_cases} of {per_chunk} cases ran a nest window"

@@ -16,15 +16,25 @@ generated numpy function.  These tests pin:
   nothing;
 * a run that retires past its budget raises even when the overrun
   comes from a vector window shortly before the program halts;
-* stepping a network never builds the execution histogram.
+* stepping a network never builds the execution histogram;
+* two-level loop nests run as one window over whole outer iterations (a
+  level-a matvec layer, a level-a conv output row), and every case that
+  must not — a triangular nest, an unrolled bound that wraps, an
+  epilogue store into the span a later row reads — keeps its exact
+  per-row result.
 """
 
 import numpy as np
 import pytest
 
+from repro.analysis.cfg import build_cfg
 from repro.core import (Cpu, ExecutionLimitExceeded, Memory, MemoryError32,
                         turbo)
 from repro.isa import assemble
+from repro.kernels.common import AsmBuilder, LEVELS
+from repro.kernels.conv import gen_conv
+from repro.kernels.jobs import ConvJob, MatvecJob
+from repro.kernels.matvec import gen_matvec
 from repro.kernels.runner import NetworkPlan, NetworkProgram
 from repro.nn.network import init_params, quantize_params
 from repro.rrm.networks import suite
@@ -66,6 +76,27 @@ def tile_e(trips):
                      f"{_PTRS[(seq + 2) % 10]}, {x}")
     lines += ["end:", "ebreak"]
     return "\n".join(lines) + "\n"
+
+
+def matvec_a(n_out, n_in, out_addr=0x9000):
+    """``kernels.matvec._gen_level_a`` at ``n_out`` x ``n_in`` (weights
+    at 0x1000, input at 0x8000)."""
+    b = AsmBuilder()
+    gen_matvec(b, LEVELS["a"], MatvecJob(
+        n_in, n_out, w_addr=0x1000, x_addr=0x8000, b_addr=0x8800,
+        out_addr=out_addr, row_halfwords=n_in, acc_addr=0x100))
+    b.emit("ebreak")
+    return b.text()
+
+
+def conv_a(cin, cout, h, w):
+    """``kernels.conv._gen_level_a`` with 3x3 filters."""
+    b = AsmBuilder()
+    gen_conv(b, LEVELS["a"], ConvJob(
+        cin, cout, h, w, 3, w_addr=0x1000, x_addr=0x4000, b_addr=0x7000,
+        out_addr=0x9000, acc_addr=0x100))
+    b.emit("ebreak")
+    return b.text()
 
 
 def _run_both(text):
@@ -142,9 +173,19 @@ def _events():
     return {s[0]["event"]: s[1] for s in turbo._TURBO_EVENTS.samples()}
 
 
+#: Two-level nests per level: level a's 29 matvec layers and lee2018's
+#: two conv layers.
+NESTS = {"a": 31, "e": 0}
+
+
 class TestKernelCache:
+    # Level a: 3 single-block row shapes; 3 software-activation loops
+    # whose fall-through ``jal`` fillers split them into blocks; 5 conv
+    # loops over unrolled 3x3 bodies; 3 nest shapes (the matvec layer,
+    # conv1's oy-by-ox, conv2's ox-by-ci).  The conv loops three or more
+    # levels deep stay on the closures.
     @pytest.mark.parametrize("level, shapes, loops",
-                             [("a", 3, 48), ("e", 9, 698)])
+                             [("a", 14, 95), ("e", 9, 698)])
     def test_one_kernel_per_body_shape(self, monkeypatch, level, shapes,
                                        loops):
         monkeypatch.setattr(turbo, "_KERNELS", {})
@@ -158,6 +199,8 @@ class TestKernelCache:
                    for plan in p.values() if plan[0] != "fuse"}
         assert compiled == shapes == len(kernels)
         assert compiled + hits == loops
+        assert sum(plan[0] == "nest" for p in plans
+                   for plan in p.values()) == NESTS[level]
 
         # A rebuilt program (a new Program object: no plan cache) hits
         # the kernel cache for every loop and compiles nothing.
@@ -170,6 +213,157 @@ class TestKernelCache:
                  if plan[0] != "fuse"] for p in again] == \
             [[plan[1]["kernel"] for plan in p.values()
               if plan[0] != "fuse"] for p in plans]
+
+
+#: A nest whose inner bound advances with the outer index (row i sums
+#: i + 1 products): every row has its own trip count.
+TRIANGLE = """
+    li s1, 0x100
+    li s3, 0x8000
+    li s10, 0x8002
+    li t0, 0x1000
+    li t3, 0x9000
+    li a6, 60
+outer:
+    sw x0, 0(s1)
+    mv t1, s3
+inner:
+    lw t6, 0(s1)
+    lh t4, 0(t0)
+    addi t0, t0, 2
+    lh t5, 0(t1)
+    addi t1, t1, 2
+    p.mac t6, t4, t5
+    sw t6, 0(s1)
+    bltu t1, s10, inner
+    lw t6, 0(s1)
+    sh t6, 0(t3)
+    addi t3, t3, 2
+    addi s10, s10, 2
+    addi a6, a6, -1
+    bne a6, x0, outer
+    ebreak
+"""
+
+#: The level-a conv's ``kx`` loop (``bltu t1, t6`` with ``t6 = t0 + 6``)
+#: unrolled into its row loop; ``t0`` walks from ``{t0}`` by 2 per row.
+KX = """
+    li s1, 0x100
+    li s2, 0x1000
+    li s0, 0x9000
+    li t0, {t0}
+    li a6, 40
+row:
+    sw x0, 0(s1)
+    mv s4, s2
+    mv t1, t0
+    addi t6, t0, 6
+kx:
+    lw t2, 0(s1)
+    lh t3, 0(s4)
+    addi s4, s4, 2
+    addi t1, t1, 2
+    p.mac t2, t3, t3
+    sw t2, 0(s1)
+    bltu t1, t6, kx
+    lw t2, 0(s1)
+    sh t2, 0(s0)
+    addi s0, s0, 2
+    addi t0, t0, 2
+    addi a6, a6, -1
+    bne a6, x0, row
+    ebreak
+"""
+
+
+class TestNests:
+    def test_level_a_matvec_is_one_nest_window(self):
+        ref, tur = _run_both(matvec_a(64, 64))
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert (stats["nest_loops"], stats["vector_loops"],
+                stats["vector_iters"], stats["bails"]) == (1, 1, 64, 0)
+
+    def test_lee2018_conv2_nests_per_output_row(self):
+        # 8x10x10 -> 8x8x8: one ox-by-ci window per (co, oy) row, the
+        # 3x3 ky/kx loops unrolled into the ci body.
+        ref, tur = _run_both(conv_a(8, 8, 10, 10))
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["nest_loops"] == 8 * 8
+        assert tur.turbo_stats["bails"] == 0
+
+    def test_triangular_nest_is_never_a_rectangle(self):
+        program = assemble(TRIANGLE)
+        kinds = {plan[0] for plan in turbo.analyze_program(program).values()}
+        assert "nest" not in kinds
+        ref, tur = _run_both(TRIANGLE)
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["nest_loops"] == 0
+        assert tur.turbo_stats["vector_loops"] > 0  # the long rows
+
+    @pytest.mark.parametrize("t0, wraps", [(0x10000, False),
+                                           (0xFFFFFFC0, True)])
+    def test_unrolled_bound_checked_over_window(self, t0, wraps):
+        # Near 2**32, t0 + 6 wraps and kx runs once instead of three
+        # times: the window's guard must catch it and commit nothing.
+        ref, tur = _run_both(KX.format(t0=t0))
+        _assert_total_equivalence(ref, tur)
+        assert (tur.turbo_stats["bails"] > 0) == wraps
+        assert (tur.turbo_stats["vector_loops"] > 0) != wraps
+
+    def test_epilogue_store_into_a_later_rows_input_bails(self):
+        # Each row's output overwrites the input the next rows read.
+        ref, tur = _run_both(matvec_a(64, 64, out_addr=0x8000))
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["bails"] > 0
+        assert tur.turbo_stats["nest_loops"] == 0
+
+    @pytest.mark.parametrize("name", ["lee2018", "ahmed2019"])
+    def test_scale1_level_a_matches_interpreter(self, name):
+        # Paper scale: lee2018's conv rows are long enough to nest (at
+        # the differential tests' scale 8 they are 3x3 and 1x1).
+        network = next(net for net in suite(1) if net.name == name)
+        params = quantize_params(
+            init_params(network, np.random.default_rng(2020)))
+        xs = np.random.default_rng(3).integers(
+            -4096, 4096, (network.timesteps, network.input_size))
+        runs = []
+        for engine in ("interp", "turbo"):
+            program = NetworkProgram(network, params, "a", engine=engine)
+            runs.append((program.forward(xs), program.cpu))
+        (out_ref, ref), (out_tur, tur) = runs
+        assert np.array_equal(out_ref, out_tur)
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["nest_loops"] > 0
+        assert tur.turbo_stats["bails"] == 0
+
+
+class TestFusedPrologues:
+    def test_level_e_fuses_every_straight_block_outside_loops(self):
+        # Every straight block of at least FUSE_MIN instructions outside
+        # the hardware-loop bodies is fused — a tile prologue too, which
+        # ends at its own loop's lp.setupi (the setup stays unfused).
+        network = next(net for net in suite(1) if net.name == "lee2018")
+        program = assemble(NetworkPlan(network, "e").text)
+        cfg = build_cfg(program)
+        plans = turbo.analyze_program(program)
+        bodies = [(lp.body_start, lp.body_end) for lp in cfg.loops]
+        want = [block for block in cfg.blocks
+                if block.id in cfg.reachable and len(block) >= turbo.FUSE_MIN
+                and not any(lo <= i <= hi for lo, hi in bodies
+                            for i in (block.start, block.end))]
+        assert want
+        assert all(block.start in plans for block in want)
+        prologues = [block for block in want
+                     if program[block.end].mnemonic.startswith("lp.setup")]
+        assert prologues
+        for block in prologues:
+            assert plans[block.start] == ("fuse", block.end)
+        params = quantize_params(
+            init_params(network, np.random.default_rng(2020)))
+        cpu = NetworkProgram(network, params, "e", engine="turbo").cpu
+        assert cpu.turbo_stats["fused_blocks"] == sum(
+            plan[0] == "fuse" for plan in plans.values())
 
 
 class TestStepPath:
