@@ -1310,7 +1310,8 @@ def _no_alias(lrecs, srecs, nstores, sread, swrite):
     """Bail unless committing the window equals running it in order.
 
     ``lrecs``/``srecs`` are ``(pos, lo, hi, base, stride, size)`` byte
-    ranges of every load and store (written slots last, ``pos`` None);
+    ranges of every load and store (written slots last, ``pos`` None;
+    stride None for a nest's inner access, whose any overlap bails);
     ``sread``/``swrite`` are ``(slot, addr)`` of the carried memory
     cells read and written."""
     # Load/store aliasing.  Interval overlap alone is not fatal: equal
@@ -1348,7 +1349,7 @@ def _no_alias(lrecs, srecs, nstores, sread, swrite):
             _p2, l2, h2, b2, s2, z2 = srecs[j]
             if l1 > h2 or l2 > h1:
                 continue
-            if s1 != s2 or s1 == 0:
+            if s1 is None or s1 != s2 or s1 == 0:
                 raise _Bail
             d = b1 - b2
             wlo, whi = 1 - z1, z2 - 1
@@ -1495,22 +1496,10 @@ class _Lower:
             f"Jt = _iota({self.trip()})") or "Jt")
 
     def trip(self):
-        """The nest's inner trip count ``T``: a constant, or solved once
-        per window from the exit operands, which must not vary with the
-        outer loop."""
-        def build():
-            nest = self.t["nest"]
-            if nest["T"] is not None:
-                return str(nest["T"])
-            x0, y = nest["x0"], nest["y"]
-            if self.is_vec(x0) or self.is_vec(y):
-                raise _Unsupported("inner trip count varies")
-            self.line(f"T = _exit({nest['m']!r}, {self.S(x0)}, "
-                      f"{nest['s']}, {self.S(y)}, {NEST_ELEMS}, "
-                      f"{nest['swapped']}) + 1")
-            self.line(f"if T > {NEST_ELEMS}: raise _Bail")
-            return "T"
-        return self.once("T", build)
+        """The nest's inner trip count ``T``: a constant, or the
+        argument ``T`` that ``cond`` solved for the window."""
+        T = self.t["nest"]["T"]
+        return "T" if T is None else str(T)
 
     # -------------------------------------------------------- plumbing
     def line(self, text):
@@ -2066,8 +2055,9 @@ class _Lower:
 
 
 def _lower_body(t, groups):
-    """Source of ``body(regs, mem, sprs, n, cells, clk, ready, xi)``:
-    evaluate n iterations, check, then commit them."""
+    """Source of ``body(regs, mem, sprs, n, cells, clk, ready, xi, T)``:
+    evaluate n iterations (``T`` inner trips each, in a nest), check,
+    then commit them."""
     lw = _Lower(t, groups)
     lw.line("mlen = len(mem)")
     lw.line("mbytes = mlen << 2")
@@ -2156,8 +2146,8 @@ def _lower_body(t, groups):
         lw.line(f"sprs[{k}] = {value}")
         lw.line(f"ready[{k}] = clk[0] + {2 - t['spr_tail'][k]}")
     lw.line(f"xi[0] += {_lin(sums[0], sums[1], T)} * n")
-    return lw.source("def body(regs, mem, sprs, n, cells, clk, ready, xi):"), \
-        lw.consts
+    return lw.source("def body(regs, mem, sprs, n, cells, clk, ready, xi, "
+                     "T=0):"), lw.consts
 
 
 def _lin(c, per_trip, T):
@@ -2182,36 +2172,46 @@ def _lower_guards(lw, guards):
             lw.line(f"if not {lo} <= {v} <= {hi}: raise _Bail")
 
 
-def _lower_trip(t, groups):
-    """Source of ``trip(regs, mem)``: a nest's inner trip count."""
-    lw = _Lower(t, groups)
-    lw.line("mlen = len(mem)")
-    lw.line(f"return {lw.trip()}")
-    return lw.source("def trip(regs, mem):"), lw.consts
+def _solve_trip(lw, nest):
+    """Source of a nest's inner trip count ``T``: a constant, or solved
+    from the exit operands, which must not vary with the outer loop."""
+    if nest is None:
+        return "0"
+    if nest["T"] is not None:
+        return str(nest["T"])
+    x0, y = nest["x0"], nest["y"]
+    if lw.is_vec(x0) or lw.is_vec(y):
+        raise _Unsupported("inner trip count varies")
+    lw.line(f"T = _exit({nest['m']!r}, {lw.S(x0)}, {nest['s']}, "
+            f"{lw.S(y)}, {NEST_ELEMS}, {nest['swapped']}) + 1")
+    lw.line(f"if T > {NEST_ELEMS}: raise _Bail")
+    return "T"
 
 
 def _lower_cond(t, groups):
     """Source of ``cond(regs, mem, sprs, n)``: the number of leading
-    iterations (capped at n) whose closing branch is taken.  Returns the
-    source, its constants, and whether the count is solved in closed
-    form (an affine induction against an invariant)."""
+    iterations (capped at n) whose closing branch is taken, and a nest's
+    inner trip count (0 outside nests).  Returns the source, its
+    constants, and whether the count is solved in closed form (an
+    affine induction against an invariant)."""
     lw = _Lower(t, groups)
     lw.line("mlen = len(mem)")
     m, a, b = t["cond"]
     af = {x: lw.affine(x) if lw.is_vec(x) else (lw.S(x), 0) for x in (a, b)}
     exact = af[a] is not None and af[b] is not None and \
         not (lw.is_vec(a) and lw.is_vec(b))
+    T = _solve_trip(lw, t["nest"])
     if exact:
         swapped = lw.is_vec(b)
         (x0, s), y = (af[b], af[a][0]) if swapped else (af[a], af[b][0])
-        lw.line(f"return _exit({m!r}, {x0}, {s}, {y}, n, {swapped})")
+        lw.line(f"return _exit({m!r}, {x0}, {s}, {y}, n, {swapped}), {T}")
     else:
         conv = lw.as_s if m in ("blt", "bge") else lw.as_u
         op = {"beq": "==", "bne": "!=", "blt": "<", "bltu": "<",
               "bge": ">=", "bgeu": ">="}[m]
         taken = lw.tmp(f"{conv(a)} {op} {conv(b)}")
         lw.line(f"bad = np.flatnonzero(~{taken})")
-        lw.line("return int(bad[0]) if bad.size else n")
+        lw.line(f"return (int(bad[0]) if bad.size else n), {T}")
     return lw.source("def cond(regs, mem, sprs, n):"), lw.consts, exact
 
 
@@ -2219,12 +2219,13 @@ class _Kernel:
     """The generated functions of one loop-body shape.
 
     An iteration retires ``blen + blen_t*T`` instructions, ``T`` being a
-    loop nest's inner trip count (``trip``, or the constant ``T``)."""
+    loop nest's inner trip count (which ``cond`` returns)."""
 
     def __init__(self, t):
         self.blen = sum(c[0] for _, c in t["cells"])
         self.blen_t = sum(c[1] for _, c in t["cells"])
         self.br_cost = t["costs"][-1]
+        self.nest = t["nest"] is not None
         groups = _load_groups(t)
         src, consts = _lower_body(t, groups)
         self.source = src
@@ -2234,13 +2235,13 @@ class _Kernel:
             src, consts, self.exact = _lower_cond(t, groups)
             self.source += "\n" + src
             self.cond = _exec(src, consts, "cond")
-        self.nest = t["nest"] is not None
-        self.T = t["nest"]["T"] if self.nest else None
-        self.trip = None
-        if self.nest and self.T is None:
-            src, consts = _lower_trip(t, groups)
-            self.source += "\n" + src
-            self.trip = _exec(src, consts, "trip")
+
+    def pays(self, trips, T=0):
+        """Is a window of ``trips`` iterations worth its fixed cost?  A
+        nest's iterations carry ``T`` inner trips, so it needs no
+        minimum iteration count."""
+        return (self.nest or trips >= VEC_MIN_ITERS) and \
+            trips * (self.blen + self.blen_t * T) >= VEC_MIN_WORK
 
 
 def _exec(src, consts, name):
@@ -2308,7 +2309,8 @@ def _make_hw_wrapper(cpu, idx, plan):
     base = plan["loopreg"] * 4
     ob = 4 - base
     bs, be = plan["bs"], plan["be"]
-    body, blen = plan["kernel"].body, plan["kernel"].blen
+    kernel = plan["kernel"]
+    body = kernel.body
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
     cells = cpu._stats[bs:be + 1]
     clk, ready = cpu.clk, cpu._spr_ready
@@ -2322,8 +2324,7 @@ def _make_hw_wrapper(cpu, idx, plan):
         if not hw[base]:
             return nxt  # zero-trip lp.setup skipped the body
         n = hw[base + 3]
-        if state["bails"] >= MAX_BAILS or n < VEC_MIN_ITERS \
-                or n * blen < VEC_MIN_WORK:
+        if state["bails"] >= MAX_BAILS or not kernel.pays(n):
             return nxt
         if hw[ob] and bs <= hw[ob + 2] <= be:
             return nxt  # the other loop set's back edge ends in our body
@@ -2359,7 +2360,7 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
     bs, be = plan["bs"], plan["be"]
     kernel = plan["kernel"]
     body, cond, exact = kernel.body, kernel.cond, kernel.exact
-    blen, br_cost = kernel.blen, kernel.br_cost
+    br_cost, nest = kernel.br_cost, kernel.nest
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
     cells = cpu._stats[bs:be + 1]
     last = cpu._stats[be]
@@ -2383,11 +2384,14 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         _BAILS.inc()
 
     def iteration():
+        """One iteration on the closures, up to its closing branch or
+        the back edge of a loop inside the body; the run loop steps
+        (and budgets) the rest."""
         i, count = bs, 1
         try:
             while True:
                 j = code[i]()
-                if i == be:
+                if i == be or j <= i:
                     xi[0] += count
                     return j
                 i = j
@@ -2395,15 +2399,15 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         except IndexError:
             _reraise_oob(cpu, i)
 
-    def windows(k, u):
-        """Vector windows from the current iteration (``k``: its leading
-        taken iterations, if already solved); the next index, or None
-        after a bail."""
+    def windows(k, T, u):
+        """Vector windows from the current iteration (``k``, ``T``: its
+        leading taken iterations and inner trip count, if already
+        solved); the next index, or None after a bail."""
         total = 0
         while True:
             if k is None:
                 try:
-                    k = cond(regs, mem, sprs, u)
+                    k, T = cond(regs, mem, sprs, u)
                 except _Bail:
                     # Speculative windows overshoot the loop's real trip
                     # count; an out-of-range gather near the end of the
@@ -2415,8 +2419,12 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
                     return bail()
             exited = k < u
             r = k + 1 if exited else u
+            if r * T > NEST_ELEMS:
+                # A nest's 2-D temporaries stay bounded: whole outer
+                # iterations, NEST_ELEMS inner trips at a time.
+                r, exited = max(1, NEST_ELEMS // T), False
             try:
-                body(regs, mem, sprs, r, cells, clk, ready, xi)
+                body(regs, mem, sprs, r, cells, clk, ready, xi, T)
             except _Bail:
                 return bail()
             # taken branches cost 2; the exit branch falls through for 1
@@ -2425,6 +2433,8 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
             last[1] += extra
             tstats["vector_loops"] += 1
             tstats["vector_iters"] += r
+            if nest:
+                tstats["nest_loops"] += 1
             total += r
             if xi[0] > xlimit[0]:
                 raise ExecutionLimitExceeded(
@@ -2432,8 +2442,10 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
             if exited:
                 state["hint"] = max(total, MIN_VEC)
                 return be + 1
-            k = None
-            u = min(u * 8, N_MAX)
+            if r < u:
+                k, u = k - r, u - r  # the rest of a solved count
+            else:
+                k, u = None, min(u * 8, N_MAX)
 
     def wrapper():
         if hw[0] or hw[4]:
@@ -2441,14 +2453,13 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         xi[0] -= 1  # the dispatch counted one; count what retires here
         if exact and state["bails"] < MAX_BAILS:
             try:
-                k = cond(regs, mem, sprs, N_MAX)
+                k, T = cond(regs, mem, sprs, N_MAX)
             except _Bail:
                 bail()
                 k = None
             if k is not None:
-                trips = k + 1
-                if trips >= VEC_MIN_ITERS and trips * blen >= VEC_MIN_WORK:
-                    nxt = windows(k, N_MAX)
+                if kernel.pays(k + 1, T):
+                    nxt = windows(k, T, N_MAX)
                     if nxt is not None:
                         return nxt
                 else:
@@ -2461,75 +2472,10 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         if j != bs or exact or state["bails"] >= MAX_BAILS:
             return j
         hint = state["hint"]
-        if hint < VEC_MIN_ITERS or hint * blen < VEC_MIN_WORK:
+        if not kernel.pays(hint):
             return bs  # scalar: one iteration per wrapper call
-        nxt = windows(None, max(MIN_VEC, min(hint * 2, N_MAX)))
+        nxt = windows(None, 0, max(MIN_VEC, min(hint * 2, N_MAX)))
         return bs if nxt is None else nxt
-    return wrapper
-
-
-def _make_nest_wrapper(cpu, idx, plan, fallback):
-    """A two-level loop nest at its outer head: windows of whole outer
-    iterations, ``T`` inner trips each; ``fallback`` (the head block's
-    fused stepper, or its closure) runs when no window does."""
-    hw = cpu._hw
-    bs, be = plan["bs"], plan["be"]
-    kernel = plan["kernel"]
-    body, cond, trip = kernel.body, kernel.cond, kernel.trip
-    blen, blen_t, br_cost = kernel.blen, kernel.blen_t, kernel.br_cost
-    regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
-    cells = cpu._stats[bs:be + 1]
-    last = cpu._stats[be]
-    clk, ready = cpu.clk, cpu._spr_ready
-    xi = cpu._xinstret
-    xlimit = cpu._xlimit
-    tstats = cpu.turbo_stats
-    state = {"bails": 0}
-
-    def bail():
-        state["bails"] += 1
-        tstats["bails"] += 1
-        _BAILS.inc()
-
-    def wrapper():
-        if hw[0] or hw[4] or state["bails"] >= MAX_BAILS:
-            return fallback()
-        try:
-            k = cond(regs, mem, sprs, N_MAX)
-            T = kernel.T if trip is None else trip(regs, mem)
-        except _Bail:
-            bail()
-            return fallback()
-        # The loop exits after k + 1 iterations; k == N_MAX: not within
-        # N_MAX, so commit N_MAX and resume at the head.
-        trips = min(k + 1, N_MAX)
-        if trips * (blen + blen_t * T) < VEC_MIN_WORK:
-            return fallback()
-        chunk = max(1, NEST_ELEMS // T)
-        done = 0
-        xi[0] -= 1  # the dispatch counted one; count what retires here
-        while done < trips:
-            r = min(trips - done, chunk)
-            try:
-                body(regs, mem, sprs, r, cells, clk, ready, xi)
-            except _Bail:
-                bail()
-                if done:
-                    return bs  # committed whole outer iterations
-                xi[0] += 1
-                return fallback()
-            done += r
-            # taken branches cost 2; the exit branch falls through for 1
-            extra = 2 * r - (1 if done > k else 0) - r * br_cost
-            clk[0] += extra
-            last[1] += extra
-            tstats["vector_loops"] += 1
-            tstats["nest_loops"] += 1
-            tstats["vector_iters"] += r
-            if xi[0] > xlimit[0]:
-                raise ExecutionLimitExceeded(
-                    f"exceeded {cpu.max_instrs} instructions")
-        return be + 1 if done > k else bs
     return wrapper
 
 
@@ -2598,10 +2544,10 @@ def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
 def analyze_program(program, wait_states=0):
     """Compile-time analysis: map instruction index -> turbo plan.
 
-    Returns ``{idx: ("hw"|"br"|"nest", plan) | ("fuse", end)}`` where a
-    loop plan holds its body span, loop register and shape-shared kernel
-    (a nest plan also the end of the head block it fuses when no window
-    runs); cached per :class:`Program` by :func:`build_turbo_code`.
+    Returns ``{idx: ("hw"|"br", plan) | ("fuse", end)}`` where a loop
+    plan holds its body span, loop register and shape-shared kernel (a
+    two-level nest's kernel has ``nest`` set); cached per
+    :class:`Program` by :func:`build_turbo_code`.
     """
     cfg = build_cfg(program)
     plans = {}
@@ -2668,14 +2614,9 @@ def analyze_program(program, wait_states=0):
             # that unroll, or one that becomes a nest's inner level.
             kernel = _loop_kernel(program, wait_states, "br", head, end)
             if kernel is not None and (kernel.exact or not kernel.nest):
-                plan = {"kernel": kernel, "bs": head, "be": end}
-                kind = "nest" if kernel.nest else "br"
-                if kernel.nest:
-                    old = plans.get(head)
-                    plan["fuse"] = old[1] if old and old[0] == "fuse" \
-                        else None
-                plans[head] = (kind, plan)
-                _TURBO_EVENTS.inc(event=f"compile_{kind}")
+                plans[head] = ("br", {"kernel": kernel, "bs": head,
+                                      "be": end})
+                _TURBO_EVENTS.inc(event="compile_br")
             if head == start:
                 continue
         if len(block) >= FUSE_MIN:
@@ -2709,18 +2650,12 @@ def build_turbo_code(cpu):
         if plan[0] == "hw":
             tcode[idx] = _make_hw_wrapper(cpu, idx, plan[1])
         elif plan[0] == "br":
+            kernel = plan[1]["kernel"]
             trips = proven.get(plan[1]["be"])
-            if trips is not None and (
-                    trips < VEC_MIN_ITERS
-                    or trips * plan[1]["kernel"].blen < VEC_MIN_WORK):
+            if trips is not None and not kernel.blen_t and \
+                    not kernel.pays(trips):
                 continue  # proven too short to vectorize: plain closures
             tcode[idx] = _make_br_wrapper(cpu, idx, plan[1], trips)
-        elif plan[0] == "nest":
-            end = plan[1]["fuse"]
-            fallback = cpu._code[idx] if end is None \
-                else _make_fuse_wrapper(cpu, idx, end)
-            tcode[idx] = _make_nest_wrapper(cpu, idx, plan[1], fallback)
-            nfuse += end is not None
         else:
             tcode[idx] = _make_fuse_wrapper(cpu, idx, plan[1])
             nfuse += 1

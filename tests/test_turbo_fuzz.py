@@ -19,8 +19,9 @@ A second corpus draws two-level loop nests in the shape of the level-a
 kernels: a row loop around one inner branch loop (a constant counter, a
 pointer against a bound fixed before the nest, a pointer against a bound
 a constant away, or a triangular bound), memory-resident or register
-accumulators, inner stores, short loops inside the inner body, and
-outputs that sometimes overwrite a later row's input.
+accumulators, inner stores (one or two per trip), short loops inside
+the inner body, and outputs that sometimes overwrite a later row's
+input.
 """
 
 import numpy as np
@@ -237,9 +238,14 @@ class _NestGen:
             self.emit("sw t2, 0(s1)")
         if rng.random() < 0.3:
             # an inner store: its own stream, or interleaved with the
-            # row outputs (then every window bails)
+            # row outputs (then every window bails); sometimes a pair of
+            # halfwords per trip, whose overlapping ranges bail too
             ptr = rng.choice(["s8", "s11"])
-            self.emit(f"sh t5, 0({ptr})", f"addi {ptr}, {ptr}, 2")
+            if rng.random() < 0.3:
+                self.emit(f"sh t5, 0({ptr})", f"sh t4, 2({ptr})",
+                          f"addi {ptr}, {ptr}, 4")
+            else:
+                self.emit(f"sh t5, 0({ptr})", f"addi {ptr}, {ptr}, 2")
         self.emit({"count": "addi a4, a4, -1\nbne a4, x0, inner",
                    "bound": "bltu t1, s9, inner",
                    "near": "bltu t1, t6, inner",

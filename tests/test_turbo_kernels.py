@@ -20,8 +20,9 @@ generated numpy function.  These tests pin:
 * two-level loop nests run as one window over whole outer iterations (a
   level-a matvec layer, a level-a conv output row), and every case that
   must not — a triangular nest, an unrolled bound that wraps, an
-  epilogue store into the span a later row reads — keeps its exact
-  per-row result.
+  epilogue store into the span a later row reads, two inner stores
+  whose ranges overlap — keeps its exact per-row result; an unrolled
+  bound that never exits still stops at the budget.
 """
 
 import numpy as np
@@ -199,8 +200,8 @@ class TestKernelCache:
                    for plan in p.values() if plan[0] != "fuse"}
         assert compiled == shapes == len(kernels)
         assert compiled + hits == loops
-        assert sum(plan[0] == "nest" for p in plans
-                   for plan in p.values()) == NESTS[level]
+        assert sum(plan[0] == "br" and plan[1]["kernel"].nest
+                   for p in plans for plan in p.values()) == NESTS[level]
 
         # A rebuilt program (a new Program object: no plan cache) hits
         # the kernel cache for every loop and compiles nothing.
@@ -276,6 +277,64 @@ kx:
 """
 
 
+#: A row loop around an inner loop that stores two interleaved halfwords
+#: per trip: the inner store ranges overlap, so the nest must bail.  The
+#: inner loop closes on ``{closing}``.
+STORE_PAIR = """
+    li t0, 0x1000
+    li s8, 0x9000
+    li s5, 24
+    li a6, 12
+row:
+    mv t1, t0
+    mv t2, s5
+    addi t6, t0, 96
+inner:
+    lh t4, 0(t1)
+    lh t5, 2(t1)
+    sh t4, 0(s8)
+    sh t5, 2(s8)
+    addi s8, s8, 4
+    addi t1, t1, 4
+    {closing}
+    addi t0, t0, 96
+    addi a6, a6, -1
+    bne a6, x0, row
+    ebreak
+"""
+
+#: The ``kx`` pattern counting down: ``bgeu t1, t6`` with ``t6 = t0 - 6``.
+#: At ``t0 = 6`` the bound is 0, the unsigned test is always taken and
+#: the inner loop never exits.
+KX_DOWN = """
+    li s1, 0x100
+    li s2, 0x1000
+    li s0, 0x9000
+    li t0, {t0}
+    li a6, 40
+row:
+    sw x0, 0(s1)
+    mv s4, s2
+    mv t1, t0
+    addi t6, t0, -6
+kx:
+    lw t2, 0(s1)
+    lh t3, 0(s4)
+    addi s4, s4, 2
+    addi t1, t1, -2
+    p.mac t2, t3, t3
+    sw t2, 0(s1)
+    bgeu t1, t6, kx
+    lw t2, 0(s1)
+    sh t2, 0(s0)
+    addi s0, s0, 2
+    addi t0, t0, 2
+    addi a6, a6, -1
+    bne a6, x0, row
+    ebreak
+"""
+
+
 class TestNests:
     def test_level_a_matvec_is_one_nest_window(self):
         ref, tur = _run_both(matvec_a(64, 64))
@@ -293,9 +352,9 @@ class TestNests:
         assert tur.turbo_stats["bails"] == 0
 
     def test_triangular_nest_is_never_a_rectangle(self):
-        program = assemble(TRIANGLE)
-        kinds = {plan[0] for plan in turbo.analyze_program(program).values()}
-        assert "nest" not in kinds
+        plans = turbo.analyze_program(assemble(TRIANGLE)).values()
+        assert not any(plan[0] == "br" and plan[1]["kernel"].nest
+                       for plan in plans)
         ref, tur = _run_both(TRIANGLE)
         _assert_total_equivalence(ref, tur)
         assert tur.turbo_stats["nest_loops"] == 0
@@ -310,6 +369,31 @@ class TestNests:
         _assert_total_equivalence(ref, tur)
         assert (tur.turbo_stats["bails"] > 0) == wraps
         assert (tur.turbo_stats["vector_loops"] > 0) != wraps
+
+    def test_unrolled_bound_that_never_exits_hits_the_budget(self):
+        # The window's guard bails on the first row; the row then runs
+        # on the closures, whose inner loop never exits: the budget must
+        # still stop it.
+        program = assemble(KX_DOWN.format(t0=6))
+        for engine in ("interp", "turbo"):
+            cpu = Cpu(program, Memory(1 << 17), engine=engine,
+                      max_instrs=20_000)
+            with pytest.raises(ExecutionLimitExceeded):
+                cpu.run()
+        ref, tur = _run_both(KX_DOWN.format(t0=0x10000))
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["vector_loops"] > 0
+
+    @pytest.mark.parametrize("closing", [
+        "addi t2, t2, -1\n    bne t2, x0, inner",  # counter from s5
+        "bltu t1, t6, inner",                       # bound a constant away
+    ], ids=["count", "near"])
+    def test_overlapping_inner_stores_bail(self, closing):
+        ref, tur = _run_both(STORE_PAIR.format(closing=closing))
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["bails"] > 0
+        assert tur.turbo_stats["nest_loops"] == 0
+        assert tur.turbo_stats["vector_loops"] > 0  # the rows, one by one
 
     def test_epilogue_store_into_a_later_rows_input_bails(self):
         # Each row's output overwrites the input the next rows read.
