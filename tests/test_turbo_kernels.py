@@ -343,6 +343,17 @@ class TestNests:
         assert (stats["nest_loops"], stats["vector_loops"],
                 stats["vector_iters"], stats["bails"]) == (1, 1, 64, 0)
 
+    def test_nest_windows_are_chunked(self, monkeypatch):
+        # At most 1024 elements a window: 64 rows of 64 trips take four
+        # windows of 16 whole rows, only the last one exiting the loop.
+        monkeypatch.setattr(turbo, "_KERNELS", {})
+        monkeypatch.setattr(turbo, "NEST_ELEMS", 1024)
+        ref, tur = _run_both(matvec_a(64, 64))
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert (stats["nest_loops"], stats["vector_loops"],
+                stats["vector_iters"], stats["bails"]) == (4, 4, 64, 0)
+
     def test_lee2018_conv2_nests_per_output_row(self):
         # 8x10x10 -> 8x8x8: one ox-by-ci window per (co, oy) row, the
         # 3x3 ky/kx loops unrolled into the ci body.
