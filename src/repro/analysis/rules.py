@@ -474,9 +474,8 @@ def check_unproven_saturation(ctx) -> list:
 
 @rule("unbounded-trip", Severity.WARNING)
 def check_unbounded_trip(ctx) -> list:
-    """Loop whose body-execution count could not be statically proven;
-    turbo and the static cycle model fall back to runtime-learned
-    hints for it."""
+    """Loop whose body-execution count could not be statically proven:
+    its certificate carries no trip fact for it."""
     out = []
     for fact in ctx.absint.loops:
         if fact.trip is None:

@@ -12,8 +12,8 @@ Commands:
     suite [--level X] [--scale N] [--engine auto|interp|turbo]
         execute the (scaled) benchmark suite on the ISS with golden
         checking and print the per-network cycle table; the default
-        engine is auto (turbo at paper scale REPRO_SCALE=1, with
-        automatic interpreter fallback on bail-out)
+        engine is auto (turbo at paper scale REPRO_SCALE=1, the
+        interpreter otherwise)
 
     profile NETWORK [--level a-f] [--engine interp|turbo|both]
             [--out FILE.json] [--folded FILE.folded]
@@ -151,11 +151,8 @@ def _cmd_suite(args) -> int:
         for network in runner.networks:
             trace = runner.run_network(network, level)
             total += trace.total_cycles
-            ran = runner.engines_used[f"{network.name}/{level}"]
-            note = "" if ran == runner.engine \
-                else f"  [{ran} fallback]"
             print(f"  {network.name:<15s} {trace.total_cycles:>9d} cycles"
-                  f"  ({trace.total_instrs} instrs){note}")
+                  f"  ({trace.total_instrs} instrs)")
         print(f"  {'TOTAL':<15s} {total:>9d} cycles")
     return 0
 
@@ -478,8 +475,8 @@ def main(argv=None) -> int:
                          choices=["auto", "interp", "turbo"],
                          default="auto",
                          help="ISS execution engine (auto = turbo at "
-                              "paper scale REPRO_SCALE=1 with interpreter "
-                              "fallback on bail-out, interp otherwise)")
+                              "paper scale REPRO_SCALE=1, interp "
+                              "otherwise)")
 
     p_profile = sub.add_parser(
         "profile",

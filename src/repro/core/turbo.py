@@ -11,11 +11,11 @@ compiled kernels for the program's hot loops:
   memory span, dot products become one product-sum, PLA activations use a
   vectorized Algorithm 2 identical to the scalar one.
 * **Branch-closed loops** (a backward branch to the loop head, e.g. a
-  level-a matvec row) are solved in windows: when the exit test compares
-  an affine induction against an invariant the exit iteration is solved
-  in closed form, otherwise the kernel evaluates a candidate window and
-  finds the first iteration whose branch falls through; either way it
-  commits exactly that prefix.  Short inner branch loops whose every
+  level-a matvec row) whose exit test compares an affine induction
+  against an invariant: the exit iteration is solved in closed form on
+  entry, and the window commits exactly the iterations up to it.  A loop
+  whose exit has no closed form (say, a data-dependent sentinel) keeps
+  its interpreter closures.  Short inner branch loops whose every
   exit decision is static (the level-a conv's 3-trip ``kx``/``ky``
   loops) are unrolled into the body, each decision re-checked over the
   window.
@@ -77,16 +77,12 @@ from .exceptions import ExecutionLimitExceeded, MemoryError32
 
 __all__ = ["build_turbo_code", "analyze_program"]
 
-#: Iteration counts at or below this stay on the interpreter.
-MIN_VEC = 4
 #: Vectorize a loop only when its trip count clears this ...
 VEC_MIN_ITERS = 8
 #: ... and trip count x body length clears this: below either, the
 #: fixed cost of one generated-kernel window (about 15-40 us) outweighs
 #: the closures it replaces (about 0.3-0.6 us per instruction).
 VEC_MIN_WORK = 96
-#: Default first solve window for branch-closed loops (adapted per loop).
-CHUNK0 = 256
 #: Largest iteration window evaluated as one numpy chunk.
 N_MAX = 1 << 21
 #: A compiled loop is disabled after this many runtime bails.
@@ -2190,29 +2186,20 @@ def _solve_trip(lw, nest):
 
 def _lower_cond(t, groups):
     """Source of ``cond(regs, mem, sprs, n)``: the number of leading
-    iterations (capped at n) whose closing branch is taken, and a nest's
-    inner trip count (0 outside nests).  Returns the source, its
-    constants, and whether the count is solved in closed form (an
-    affine induction against an invariant)."""
+    iterations (capped at n) whose closing branch is taken, solved in
+    closed form, and a nest's inner trip count (0 outside nests).  The
+    exit test must compare an affine induction against an invariant."""
     lw = _Lower(t, groups)
     lw.line("mlen = len(mem)")
     m, a, b = t["cond"]
     af = {x: lw.affine(x) if lw.is_vec(x) else (lw.S(x), 0) for x in (a, b)}
-    exact = af[a] is not None and af[b] is not None and \
-        not (lw.is_vec(a) and lw.is_vec(b))
+    if af[a] is None or af[b] is None or lw.is_vec(a) and lw.is_vec(b):
+        raise _Unsupported("exit not closed-form")
     T = _solve_trip(lw, t["nest"])
-    if exact:
-        swapped = lw.is_vec(b)
-        (x0, s), y = (af[b], af[a][0]) if swapped else (af[a], af[b][0])
-        lw.line(f"return _exit({m!r}, {x0}, {s}, {y}, n, {swapped}), {T}")
-    else:
-        conv = lw.as_s if m in ("blt", "bge") else lw.as_u
-        op = {"beq": "==", "bne": "!=", "blt": "<", "bltu": "<",
-              "bge": ">=", "bgeu": ">="}[m]
-        taken = lw.tmp(f"{conv(a)} {op} {conv(b)}")
-        lw.line(f"bad = np.flatnonzero(~{taken})")
-        lw.line(f"return (int(bad[0]) if bad.size else n), {T}")
-    return lw.source("def cond(regs, mem, sprs, n):"), lw.consts, exact
+    swapped = lw.is_vec(b)
+    (x0, s), y = (af[b], af[a][0]) if swapped else (af[a], af[b][0])
+    lw.line(f"return _exit({m!r}, {x0}, {s}, {y}, n, {swapped}), {T}")
+    return lw.source("def cond(regs, mem, sprs, n):"), lw.consts
 
 
 class _Kernel:
@@ -2227,14 +2214,16 @@ class _Kernel:
         self.br_cost = t["costs"][-1]
         self.nest = t["nest"] is not None
         groups = _load_groups(t)
-        src, consts = _lower_body(t, groups)
-        self.source = src
-        self.body = _exec(src, consts, "body")
-        self.cond, self.exact = None, False
+        self.cond, self.source = None, ""
         if t["cond"] is not None:
-            src, consts, self.exact = _lower_cond(t, groups)
-            self.source += "\n" + src
+            # An exit without a closed form rejects the loop before its
+            # body is compiled.
+            src, consts = _lower_cond(t, groups)
             self.cond = _exec(src, consts, "cond")
+            self.source = src + "\n"
+        src, consts = _lower_body(t, groups)
+        self.source += src
+        self.body = _exec(src, consts, "body")
 
     def pays(self, trips, T=0):
         """Is a window of ``trips`` iterations worth its fixed cost?  A
@@ -2329,7 +2318,7 @@ def _make_hw_wrapper(cpu, idx, plan):
         if hw[ob] and bs <= hw[ob + 2] <= be:
             return nxt  # the other loop set's back edge ends in our body
         done = 0
-        while n - done > MIN_VEC:
+        while done < n:
             c = min(n - done, N_MAX)
             try:
                 body(regs, mem, sprs, c, cells, clk, ready, xi)
@@ -2354,12 +2343,12 @@ def _make_hw_wrapper(cpu, idx, plan):
     return wrapper
 
 
-def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
+def _make_br_wrapper(cpu, idx, plan):
     code = cpu._code
     hw = cpu._hw
     bs, be = plan["bs"], plan["be"]
     kernel = plan["kernel"]
-    body, cond, exact = kernel.body, kernel.cond, kernel.exact
+    body, cond = kernel.body, kernel.cond
     br_cost, nest = kernel.br_cost, kernel.nest
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
     cells = cpu._stats[bs:be + 1]
@@ -2368,15 +2357,7 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
     xi = cpu._xinstret
     xlimit = cpu._xlimit
     tstats = cpu.turbo_stats
-    # Loops whose exit test the kernel solves in closed form size every
-    # window exactly, from the loop entry.  Otherwise the first
-    # iteration runs on the closures, an absint-proven constant trip
-    # count seeds the window hint (N trips leave N-1 for the vector
-    # path) and runtime learning adapts it after every exit; execution
-    # stays bit- and cycle-exact either way.
-    hint0 = CHUNK0 if proven_trip is None \
-        else max(proven_trip - 1, MIN_VEC)
-    state = {"bails": 0, "hint": hint0}
+    state = {"bails": 0}
 
     def bail():
         state["bails"] += 1
@@ -2399,26 +2380,13 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
         except IndexError:
             _reraise_oob(cpu, i)
 
-    def windows(k, T, u):
-        """Vector windows from the current iteration (``k``, ``T``: its
-        leading taken iterations and inner trip count, if already
-        solved); the next index, or None after a bail."""
-        total = 0
+    def windows(k, T):
+        """Vector windows from the loop head to its exit (``k``, ``T``:
+        the leading taken iterations and inner trip count ``cond``
+        solved there); the exit index, or None after a bail."""
         while True:
-            if k is None:
-                try:
-                    k, T = cond(regs, mem, sprs, u)
-                except _Bail:
-                    # Speculative windows overshoot the loop's real trip
-                    # count; an out-of-range gather near the end of the
-                    # window is expected — retry a smaller window
-                    # before concluding the loop really faults.
-                    if u > MIN_VEC:
-                        u = max(MIN_VEC, u // 8)
-                        continue
-                    return bail()
-            exited = k < u
-            r = k + 1 if exited else u
+            exited = k < N_MAX
+            r = k + 1 if exited else N_MAX
             if r * T > NEST_ELEMS:
                 # A nest's 2-D temporaries stay bounded: whole outer
                 # iterations, NEST_ELEMS inner trips at a time.
@@ -2435,31 +2403,28 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
             tstats["vector_iters"] += r
             if nest:
                 tstats["nest_loops"] += 1
-            total += r
             if xi[0] > xlimit[0]:
                 raise ExecutionLimitExceeded(
                     f"exceeded {cpu.max_instrs} instructions")
             if exited:
-                state["hint"] = max(total, MIN_VEC)
                 return be + 1
-            if r < u:
-                k, u = k - r, u - r  # the rest of a solved count
-            else:
-                k, u = None, min(u * 8, N_MAX)
+            try:  # a window short of the exit: solve again from here
+                k, T = cond(regs, mem, sprs, N_MAX)
+            except _Bail:
+                return bail()
 
     def wrapper():
         if hw[0] or hw[4]:
             return code[bs]()  # stale active loop state: stay scalar
         xi[0] -= 1  # the dispatch counted one; count what retires here
-        if exact and state["bails"] < MAX_BAILS:
+        if state["bails"] < MAX_BAILS:
             try:
                 k, T = cond(regs, mem, sprs, N_MAX)
             except _Bail:
                 bail()
-                k = None
-            if k is not None:
+            else:
                 if kernel.pays(k + 1, T):
-                    nxt = windows(k, T, N_MAX)
+                    nxt = windows(k, T)
                     if nxt is not None:
                         return nxt
                 else:
@@ -2468,14 +2433,7 @@ def _make_br_wrapper(cpu, idx, plan, proven_trip=None):
                     while j == bs:
                         j = iteration()
                     return j
-        j = iteration()
-        if j != bs or exact or state["bails"] >= MAX_BAILS:
-            return j
-        hint = state["hint"]
-        if not kernel.pays(hint):
-            return bs  # scalar: one iteration per wrapper call
-        nxt = windows(None, 0, max(MIN_VEC, min(hint * 2, N_MAX)))
-        return bs if nxt is None else nxt
+        return iteration()
     return wrapper
 
 
@@ -2613,7 +2571,7 @@ def analyze_program(program, wait_states=0):
             # A branch loop; one over several blocks holds inner loops
             # that unroll, or one that becomes a nest's inner level.
             kernel = _loop_kernel(program, wait_states, "br", head, end)
-            if kernel is not None and (kernel.exact or not kernel.nest):
+            if kernel is not None:
                 plans[head] = ("br", {"kernel": kernel, "bs": head,
                                       "be": end})
                 _TURBO_EVENTS.inc(event="compile_br")
@@ -2642,20 +2600,11 @@ def build_turbo_code(cpu):
         _TURBO_EVENTS.inc(event="cache_hit")
     tcode = list(cpu._code)
     nfuse = 0
-    proven = {}
-    if any(plan[0] == "br" for plan in cached[1].values()):
-        from ..analysis.absint import proven_trip_counts
-        proven = proven_trip_counts(program)
     for idx, plan in cached[1].items():
         if plan[0] == "hw":
             tcode[idx] = _make_hw_wrapper(cpu, idx, plan[1])
         elif plan[0] == "br":
-            kernel = plan[1]["kernel"]
-            trips = proven.get(plan[1]["be"])
-            if trips is not None and not kernel.blen_t and \
-                    not kernel.pays(trips):
-                continue  # proven too short to vectorize: plain closures
-            tcode[idx] = _make_br_wrapper(cpu, idx, plan[1], trips)
+            tcode[idx] = _make_br_wrapper(cpu, idx, plan[1])
         else:
             tcode[idx] = _make_fuse_wrapper(cpu, idx, plan[1])
             nfuse += 1

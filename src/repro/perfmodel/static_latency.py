@@ -387,10 +387,9 @@ def certified_trip_counts(network, level_key: str) -> dict:
     generated kernel of ``(network, level_key)``.
 
     These are *static facts*, not walker extrapolations: the abstract
-    interpreter proves them sound for every execution, the ISS
+    interpreter proves them sound for every execution, and the ISS
     observer harness cross-validates them against real back-edge
-    execution counts, and ``repro.core.turbo`` seeds its vector-window
-    hints with them."""
+    execution counts."""
     from ..analysis.absint import proven_trip_counts
     from ..analysis.footprint import Footprint
     from ..isa import assemble

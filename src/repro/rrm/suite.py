@@ -83,9 +83,6 @@ class SuiteRunner:
         self.seed = seed
         self.check = check
         self.engine = resolve_engine(engine, scale)
-        #: Engine that actually ran, per ``"network/level"`` — records
-        #: turbo runs that fell back to the interpreter after a bail.
-        self.engines_used: dict[str, str] = {}
         self._rng = np.random.default_rng(seed)
 
     def _random_input(self, network: Network) -> np.ndarray:
@@ -96,20 +93,10 @@ class SuiteRunner:
         """Run one inference on the ISS; returns the execution histogram."""
         params = quantize_params(
             init_params(network, np.random.default_rng(self.seed)))
-        engine = self.engine
-        program = NetworkProgram(network, params, level_key, engine=engine)
+        program = NetworkProgram(network, params, level_key,
+                                 engine=self.engine)
         xs = [self._random_input(network) for _ in range(network.timesteps)]
         self._run(program, xs)
-        if engine == "turbo" and program.cpu.turbo_stats.get("bails"):
-            # A bailed kernel already fell back loop-locally and stayed
-            # bit/cycle-exact, but suite validation numbers should never
-            # ride on turbo's runtime heuristics: re-run the same inputs
-            # on the interpreter and report that engine.
-            engine = "interp"
-            program = NetworkProgram(network, params, level_key,
-                                     engine=engine)
-            self._run(program, xs)
-        self.engines_used[f"{network.name}/{level_key}"] = engine
         return program.trace
 
     def _run(self, program: NetworkProgram, xs) -> None:

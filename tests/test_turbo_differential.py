@@ -4,8 +4,9 @@ The tentpole guarantee: ``Cpu(engine="turbo")`` is *bit-exact* (final
 registers, every memory word, SPR state) and *cycle-exact* (total cycles
 AND every per-static-instruction ``[count, cycles]`` histogram cell)
 against the closure interpreter, across all 10 suite networks at every
-optimization level a-f.  Any divergence — even one cycle attributed to a
-different instruction — fails.
+optimization level a-f, at scale 8 and at paper scale (scale 1).  Any
+divergence — even one cycle attributed to a different instruction —
+fails, and so does a turbo run that bails to its closures.
 """
 
 import numpy as np
@@ -30,6 +31,7 @@ def _engine_state(network, params, xs, level, engine):
         "sprs": list(cpu.sprs),
         "memory": tuple(cpu.memory.words),
         "stats": [tuple(cell) for cell in cpu._stats],
+        "bails": cpu.turbo_stats["bails"],  # always 0 on the interpreter
     }
 
 
@@ -45,10 +47,17 @@ def _run_both(network, level):
     return ref, tur
 
 
-@pytest.mark.parametrize("net_index", range(10))
-def test_full_suite_bit_and_cycle_exact(net_index):
-    """All 10 networks x all 6 levels (reduced scale keeps this fast)."""
-    network = suite(8)[net_index]
+#: (network index, scale): every network at scale 8, whose ids stay the
+#: bare index, and at paper scale.
+CASES = [pytest.param(i, 8, id=str(i)) for i in range(10)] + \
+    [pytest.param(i, 1, id=f"{i}-scale1") for i in range(10)]
+
+
+@pytest.mark.parametrize("net_index, scale", CASES)
+def test_full_suite_bit_and_cycle_exact(net_index, scale):
+    """All 10 networks x all 6 levels, at scale 8 and at paper scale
+    (one timestep per network: one inference per level)."""
+    network = suite(scale)[net_index]
     for level in LEVELS:
         ref, tur = _run_both(network, level)
         for key in ref:

@@ -16,6 +16,8 @@ generated numpy function.  These tests pin:
   nothing;
 * a run that retires past its budget raises even when the overrun
   comes from a vector window shortly before the program halts;
+* a branch loop whose exit has no closed form (a zero sentinel) gets
+  no kernel and runs on its closures;
 * stepping a network never builds the execution histogram;
 * two-level loop nests run as one window over whole outer iterations (a
   level-a matvec layer, a level-a conv output row), and every case that
@@ -587,10 +589,9 @@ class TestGuards:
             assert tur.turbo_stats["bails"] == 0
             assert tur.turbo_stats["vector_loops"] > 0
 
-    def test_data_dependent_exit_uses_speculative_windows(self):
+    def test_data_dependent_exit_runs_on_closures(self):
         # The exit test reads memory (a zero sentinel), so it has no
-        # closed form: windows are speculative and commit the prefix up
-        # to the first fall-through.
+        # closed form: the loop gets no kernel and keeps its closures.
         src = """
             li a1, 0x1000
             li a0, 0
@@ -610,11 +611,13 @@ class TestGuards:
             cpu.run()
             cpus.append(cpu)
         _assert_total_equivalence(*cpus)
-        kernel = next(plan[1]["kernel"] for plan in
-                      turbo.analyze_program(program).values()
-                      if plan[0] == "br")
-        assert not kernel.exact
-        assert cpus[1].turbo_stats["vector_iters"] > 0
+        assert not any(plan[0] == "br" for plan in
+                       turbo.analyze_program(program).values())
+        be = next(i for i in range(len(program))
+                  if program[i].mnemonic == "bne")
+        bs = (program[be].addr + program[be].imm) // 4
+        assert turbo._loop_kernel(program, 0, "br", bs, be) is None
+        assert cpus[1].turbo_stats["vector_loops"] == 0
 
 
 class TestBudget:
