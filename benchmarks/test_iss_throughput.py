@@ -9,11 +9,16 @@ Three workloads bracket the engine design space:
   profitability thresholds, where both engines run the same compiled
   closures (asserted: no vector window runs).
 * *tile-e* — the paper's level-e output tile, a 22-instruction
-  ``pl.sdotsp.h`` body at 16 trips: a short loop that must still take
-  the vector path (asserted).
+  ``pl.sdotsp.h`` body at 16 trips, entered 50 times by a branch loop:
+  a nest whose inner level is the hardware loop, which must run as one
+  nest window (asserted).
 * *matvec-a* — the level-a matvec (``kernels.matvec._gen_level_a``) at
   64 rows x 64 columns: a two-level loop nest that must run as one nest
   window (asserted).
+* *matvec-e* — the level-e matvec (``kernels.matvec._gen_tiled``) at
+  100 rows x 128 columns: ten unrolled 10-row tiles, of which the nine
+  after the first form one rerolled run that must run as one window
+  (asserted).
 
 Both engines run every program; ``BENCH_iss.json`` records the host,
 the instret/s rates, each program's turbo vector- and nest-window
@@ -24,7 +29,7 @@ turbo-hot program).
 import time
 
 from repro.bench import host_info
-from repro.core import Cpu, Memory
+from repro.core import Cpu, Memory, turbo
 from repro.isa import assemble
 from repro.kernels.common import AsmBuilder, LEVELS
 from repro.kernels.jobs import MatvecJob
@@ -78,17 +83,20 @@ TILE_E = "\n".join(
     + ["end:", "addi t2, t2, 1", "bltu t2, t3, outer", "ebreak"]) + "\n"
 
 
-def _matvec_a(n_out=64, n_in=64):
+def _matvec(level, n_out=64, n_in=64, w_addr=0x1000):
     b = AsmBuilder()
-    gen_matvec(b, LEVELS["a"], MatvecJob(
-        n_in, n_out, w_addr=0x1000, x_addr=0x8000, b_addr=0x8800,
+    gen_matvec(b, LEVELS[level], MatvecJob(
+        n_in, n_out, w_addr=w_addr, x_addr=0x8000, b_addr=0x8800,
         out_addr=0x9000, row_halfwords=n_in, acc_addr=0x100))
     b.emit("ebreak")
     return b.text()
 
 
 #: Level-a matvec layer, 64 x 64: one nest window per run.
-MATVEC_A = _matvec_a()
+MATVEC_A = _matvec("a")
+#: Level-e matvec layer, 100 x 128 (weights at 0x1004, so every tile's
+#: row pointers take a two-instruction ``li``): one run of nine tiles.
+MATVEC_E = _matvec("e", 100, 128, w_addr=0x1004)
 
 
 def _run(program, engine):
@@ -134,7 +142,11 @@ def test_iss_throughput_artifact(save_json):
     programs = {"turbo_hot": assemble(TURBO_HOT),
                 "interp_hot": assemble(INTERP_HOT),
                 "tile_e": assemble(TILE_E),
-                "matvec_a": assemble(MATVEC_A)}
+                "matvec_a": assemble(MATVEC_A),
+                "matvec_e": assemble(MATVEC_E)}
+    run_units = [plan[1]["n"] for plan in
+                 turbo.analyze_program(programs["matvec_e"]).values()
+                 if plan[0] == "run"]
     vector_loops, nest_loops = {}, {}
     for name, program in programs.items():
         ref, tur = _run(program, "interp"), _run(program, "turbo")
@@ -144,8 +156,13 @@ def test_iss_throughput_artifact(save_json):
     # The brackets hold only while each program takes its intended path.
     assert vector_loops["interp_hot"] == 0, vector_loops
     assert vector_loops["turbo_hot"] > 0, vector_loops
-    assert vector_loops["tile_e"] > 0, vector_loops
+    assert vector_loops["tile_e"] == nest_loops["tile_e"] == 1, \
+        (vector_loops, nest_loops)
     assert vector_loops["matvec_a"] == nest_loops["matvec_a"] == 1, \
+        (vector_loops, nest_loops)
+    # The first tile's own window, then the run of the other nine.
+    assert run_units == [9], run_units
+    assert (vector_loops["matvec_e"], nest_loops["matvec_e"]) == (2, 1), \
         (vector_loops, nest_loops)
     rates = {name: {engine: _rate(program, engine)
                     for engine in ("interp", "turbo")}
@@ -156,6 +173,7 @@ def test_iss_throughput_artifact(save_json):
         "instret_per_second": rates,
         "vector_loops": vector_loops,
         "nest_loops": nest_loops,
+        "run_units": {"matvec_e": run_units},
         "turbo_speedup_turbo_hot": speedup,
         "turbo_speedup_interp_hot":
             rates["interp_hot"]["turbo"] / rates["interp_hot"]["interp"],
@@ -163,5 +181,7 @@ def test_iss_throughput_artifact(save_json):
             rates["tile_e"]["turbo"] / rates["tile_e"]["interp"],
         "turbo_speedup_matvec_a":
             rates["matvec_a"]["turbo"] / rates["matvec_a"]["interp"],
+        "turbo_speedup_matvec_e":
+            rates["matvec_e"]["turbo"] / rates["matvec_e"]["interp"],
     })
     assert speedup >= 10.0, f"turbo speedup {speedup:.1f}x below 10x"

@@ -23,10 +23,11 @@ Two execution engines share those closures (``Cpu(engine=...)``):
 
 * ``"interp"`` (default): the per-instruction closure interpreter.
 * ``"turbo"``: :mod:`repro.core.turbo` overlays the closure table with
-  compiled loop kernels (vectorized numpy execution of provably safe
-  hardware/software loops) and fused straight-line superblocks, falling
-  back to the closures everywhere else.  Architecturally and cycle-wise
-  bit-exact against ``"interp"`` (see docs/TIMING.md).
+  generated code: loop kernels (vectorized numpy execution of provably
+  safe hardware/software loops and two-level nests), rerolled runs of
+  level-e tiles, and straight-line blocks compiled to scalar Python,
+  falling back to the closures everywhere else.  Architecturally and
+  cycle-wise bit-exact against ``"interp"`` (see docs/TIMING.md).
 """
 
 from __future__ import annotations

@@ -1,15 +1,15 @@
-"""Turbo execution engine: generated numpy loop kernels over the closure ISS.
+"""Turbo execution engine: generated code over the closure ISS.
 
 ``Cpu(engine="turbo")`` overlays the per-instruction closure table with
-compiled kernels for the program's hot loops:
+code compiled for the program's hot paths:
 
 * **Hardware loops** (``lp.setup``/``lp.setupi``) whose body is a single
   straight-line basic block of provably safe instructions are executed as
-  fused numpy kernels: iteration 0 runs through the ordinary closures (it
-  absorbs any dynamic SPR entry stall), then all remaining iterations are
-  evaluated at once — post-increment load chains become slices of one
-  memory span, dot products become one product-sum, PLA activations use a
-  vectorized Algorithm 2 identical to the scalar one.
+  fused numpy kernels, every iteration from iteration 0 evaluated at once
+  (the kernel computes each SPR's entry stall from the clock) —
+  post-increment load chains become slices of one memory span, dot
+  products become one product-sum, PLA activations use a vectorized
+  Algorithm 2 identical to the scalar one.
 * **Branch-closed loops** (a backward branch to the loop head, e.g. a
   level-a matvec row) whose exit test compares an affine induction
   against an invariant: the exit iteration is solved in closed form on
@@ -19,15 +19,34 @@ compiled kernels for the program's hot loops:
   exit decision is static (the level-a conv's 3-trip ``kx``/``ky``
   loops) are unrolled into the body, each decision re-checked over the
   window.
-* **Loop nests** (a branch loop around exactly one inner branch loop,
-  e.g. a whole level-a matvec layer) run as one 2-D window: ``n`` outer
-  iterations by ``T`` inner trips, ``T`` the same for every outer
-  iteration, the inner loads ``(n, T)`` gathers and the inner
-  accumulators product-sums over the inner axis.
-* **Superblocks** (straight-line blocks outside every hardware loop, a
-  tile prologue up to its ``lp.setupi`` included) are stepped through a
-  tight local closure loop, skipping the run loop's per instruction
-  bookkeeping.
+* **Loop nests** (a branch loop around exactly one inner loop — a
+  branch loop, e.g. a whole level-a matvec layer, or a hardware loop,
+  e.g. a level-e tile) run as one 2-D window: ``n`` outer iterations by
+  ``T`` inner trips, ``T`` the same for every outer iteration, the inner
+  loads ``(n, T)`` gathers and the inner accumulators product-sums over
+  the inner axis.  ``pl.sdotsp`` primes may sit in the outer level: an
+  inner SPR read sees the outer prime's load at trip 0 and the previous
+  trip's load after it.
+* **Rerolled runs.**  Level e unrolls every layer into tiles; each
+  *unit* is a compiled block that ends at its own ``lp.setupi``, plus
+  that hardware loop.  A maximal run of adjacent units with one shape
+  and one trip count, whose materialized constants (``li`` values, a
+  ``lui``/``addi`` pair folded) advance by fixed strides, runs as one
+  nest window of units x trips.  One kernel per unit shape takes the
+  run's constants, strides and ``T``; every unit commits its own cells.
+  A run whose stores land where it loads, as its constants place them
+  (an im2col copy its own loop reads), stays per unit; a bail at run
+  time falls back to the first unit's block.
+* **Compiled blocks.**  Every straight-line block of at least
+  ``FUSE_MIN`` instructions outside the hardware loops (a tile prologue
+  up to its ``lp.setupi``) is lowered once per block *shape*
+  (mnemonics, registers and costs) into generated scalar Python:
+  registers live in locals, immediates are per-site constants, the
+  ``[count, cycles]`` increments are baked in and a ``pl.sdotsp``
+  computes its SPR stall from the ready time and the running clock.  A
+  CSR reads the live counters, so it runs on its closure between two
+  compiled segments; an out-of-range access commits everything before
+  it and raises the interpreter's ``MemoryError32`` naming its pc.
 
 Each eligible loop body is walked once into a symbolic template and the
 template is lowered to straight-line Python source — one generated
@@ -54,9 +73,10 @@ exact: a loop body is only compiled when every cost is static — in
 particular every ``pl.sdotsp`` re-read is provably stall-free.
 
 Eligibility is decided per loop at ``Cpu`` construction (cached on the
-:class:`~repro.isa.program.Program`); anything unprovable — irregular
-control flow, CSRs, ``ebreak``, unresolvable loop-carried dependencies —
-simply keeps its interpreter closures.  See docs/TIMING.md.
+:class:`~repro.isa.program.Program`); anything unprovable in a loop —
+irregular control flow, CSRs, ``ebreak``, unresolvable loop-carried
+dependencies — simply keeps its interpreter closures.  See
+docs/TIMING.md.
 """
 
 from __future__ import annotations
@@ -66,12 +86,12 @@ from array import array
 import numpy as np
 
 from ..analysis.cfg import build_cfg
-from ..isa.instructions import Fmt, reads_mask
+from ..isa.instructions import SPECS, Fmt, reads_mask
 from ..obs.metrics import REGISTRY
 from .cpu import (
-    ALU_OPS, BRANCH_OPS, DIV_CYCLES, _DIV_OPS, _M32, _PLA_FRAC, _PLA_N,
-    _PLA_ONE, _PLA_SHIFT, _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _bytes4, _dot2h,
-    _dot4b, _halves, _pla_scalar, _signed32,
+    ACC_ALU_OPS, ALU_OPS, BRANCH_OPS, DIV_CYCLES, _DIV_OPS, _M32, _PLA_FRAC,
+    _PLA_N, _PLA_ONE, _PLA_SHIFT, _SIG_M, _SIG_Q, _TANH_M, _TANH_Q, _bytes4,
+    _dot2h, _dot4b, _halves, _pla_scalar, _signed32,
 )
 from .exceptions import ExecutionLimitExceeded, MemoryError32
 
@@ -87,7 +107,7 @@ VEC_MIN_WORK = 96
 N_MAX = 1 << 21
 #: A compiled loop is disabled after this many runtime bails.
 MAX_BAILS = 3
-#: Minimum block length worth a fused superblock stepper.
+#: Minimum basic-block length worth a compiled block.
 FUSE_MIN = 4
 #: Most inner trips x outer iterations one loop-nest window evaluates
 #: (its largest 2-D temporaries hold this many int64 elements).
@@ -311,8 +331,11 @@ def _subst(node, old, new, memo):
         out = ("pla", _subst(node[1], old, new, memo), node[2])
     elif k == "j2":
         out = ("j2", _subst(node[1], old, new, memo), node[2])
-    elif k == "isum":
-        out = ("isum", _subst(node[1], old, new, memo))
+    elif k in ("isum", "jlast"):
+        out = (k, _subst(node[1], old, new, memo))
+    elif k == "jprev":
+        out = (k, _subst(node[1], old, new, memo),
+               _subst(node[2], old, new, memo))
     else:
         out = node
     memo[node] = out
@@ -449,13 +472,15 @@ class _Walk:
     (:meth:`_nest`).
     """
 
-    def __init__(self, program, bs, stop, wait, allow_spr, nest=False,
-                 budget=None):
+    def __init__(self, program, bs, stop, wait, nest=False, budget=None,
+                 sites=None):
         self.program = program
         self.wait = wait
-        self.allow_spr = allow_spr
         self.nest_ok = nest
         self.budget = budget if budget is not None else [UNROLL_STEPS]
+        # A rerolled run's unit: {index: site} of its materialized
+        # constants (-1 for the ``addi`` that completes a ``lui``).
+        self.sites = sites
         self.sym = {0: _CONST0}
         # Slot key: a const byte address (int) or a loop-invariant
         # address node (tuple) -> last stored node for that memory cell.
@@ -466,12 +491,19 @@ class _Walk:
         self.stores = []           # (addr_node, value_node, size, pos)
         self.spr = {0: [], 1: []}  # SPR k -> ordered load nodes
         self.spr_pos = {0: [], 1: []}
+        self.spr_ins = {0: [], 1: []}  # the instruction of each access
         self.costs = []            # static cost per body position
         # (static index, count, count per inner trip, cycles, cycles
         # per inner trip) of every executed instruction
         self.steps = []
         self.guards = []           # (node, signed, lo, hi) range checks
         self.nest = None
+        self.nest_pos = None       # the inner loop's step position
+        self.hw_loop = None        # a hardware inner loop's setup
+        self.nest_cycles = None    # its static cycles, when T is known
+        # SPR k -> (first, last access position in the inner body, its
+        # length, cost before the first access, cost from the last on)
+        self.inner_spr = {}
         self.depth = 0
         self.loops = _inner_loops(program, bs, stop)
         self._range(bs, stop, None)
@@ -513,18 +545,34 @@ class _Walk:
         i = lo
         while i <= hi:
             end = self.loops.get(i)
+            instr = self.program[i]
             if end is not None and i != entered:
                 self._loop(i, end)
+                i = end + 1
+            elif instr.mnemonic == "lp.setupi" and self.nest_ok:
+                # A hardware loop: the nest's inner level, its trip count
+                # the setup's (a run's argument ``T`` in a unit walk).
+                end = (instr.addr + instr.imm2) // 4
+                if end > hi or self.depth:
+                    raise _Unsupported("hardware loop leaves the body")
+                self._tick(i, 1)
+                self.hw_loop = (instr.loop, i + 1, end, instr.imm)
+                self._nest(i + 1, end, hw=None if self.sites is not None
+                           else max(instr.imm, 1))
                 i = end + 1
             else:
                 self._step(len(self.costs), i)
                 i += 1
 
     _STATE = ("sym", "slotsym", "slot_loaded", "load_nodes", "load_pos",
-              "stores", "spr", "spr_pos", "costs", "steps", "guards")
+              "stores", "spr", "spr_pos", "spr_ins", "costs", "steps",
+              "guards")
 
     def _save(self):
-        return {k: getattr(self, k).copy() for k in self._STATE}
+        out = {k: getattr(self, k).copy() for k in self._STATE}
+        for k in ("spr", "spr_pos", "spr_ins"):
+            out[k] = {key: v.copy() for key, v in out[k].items()}
+        return out
 
     def _loop(self, h, e):
         """Unroll the inner loop ``h..e`` or make it the nest's inner
@@ -575,22 +623,28 @@ class _Walk:
         self.slot_loaded.add(key)
         return self.slotsym[key]
 
-    def _nest(self, h, e):
-        """Fold the inner branch loop ``h..e`` into this walk as one step
-        of ``T`` inner trips (``T`` the same for every outer iteration).
+    def _nest(self, h, e, hw=False):
+        """Fold the inner loop ``h..e`` into this walk as one step of
+        ``T`` inner trips (``T`` the same for every outer iteration).
 
-        The inner loop's placeholders are replaced by this walk's current
-        nodes; an affine one becomes ``("j2", entry, stride)`` (its value
-        at inner trip ``j``), so the inner loads become 2-D, and each
-        carried value leaves the loop as its exit value: ``entry +
-        T*stride``, ``entry + sum over j of the terms``, or the body's
-        value at ``j = T-1``."""
+        The inner loop is a branch loop, or with ``hw`` set the body of a
+        hardware loop: ``hw`` is then its trip count, or None for a unit
+        walk's runtime ``T``.  The inner loop's placeholders are replaced
+        by this walk's current nodes; an affine one becomes ``("j2",
+        entry, stride)`` (its value at inner trip ``j``), so the inner
+        loads become 2-D, and each carried value leaves the loop as its
+        exit value: ``entry + T*stride``, ``entry + sum over j of the
+        terms``, or the body's value at ``j = T-1``.  An SPR read at the
+        top of the inner body sees, at trip 0, the value this walk loaded
+        last (``("jprev", value, stream)``)."""
         if not self.nest_ok or self.depth or self.nest is not None:
             raise _Unsupported("more than one inner loop, or deeper")
-        ti = _try_loop_template(self.program, self.wait, h, e, cond_term=e,
+        ti = _try_loop_template(self.program, self.wait, h, e,
+                                cond_term=None if hw is not False else e,
                                 budget=self.budget)
         res = ti["res"]
         entries = {}
+        spr_in = {k: ("sprin", k, len(self.spr[k])) for k in (0, 1)}
 
         def outer_key(key):
             if not isinstance(key, tuple):
@@ -635,11 +689,19 @@ class _Walk:
                 out = ("load", sub(n[1]), n[2], n[3])
             elif k == "pla":
                 out = ("pla", sub(n[1]), n[2])
+            elif k == "sprin":
+                occ = ti["spr"][n[1]]
+                out = sub(occ[n[2] - 1]) if n[2] else \
+                    ("jprev", spr_in[n[1]], sub(occ[-1]))
             else:
                 raise _Unsupported(k)
             memo[n] = out
             return out
 
+        if hw is not False:
+            self.nest = {"T": hw, "hw": True}
+            self._fold(ti, sub, entry, outer_key, hw, None)
+            return
         # The trip count: the exit test compares an affine induction
         # with an invariant.
         m, a, b = ti["cond"]
@@ -659,7 +721,13 @@ class _Walk:
             if guard is not None:
                 self.guards.append(guard)
         self.nest = nest
-        T = nest["T"]
+        self._fold(ti, sub, entry, outer_key, nest["T"], e)
+
+    def _fold(self, ti, sub, entry, outer_key, T, closing):
+        """Bind the inner template ``ti`` (its nodes mapped by ``sub``)
+        as one step of this walk; ``closing`` is the inner branch loop's
+        closing branch, None for a hardware loop."""
+        res = ti["res"]
 
         def tmul(c):
             if T is not None:
@@ -695,6 +763,8 @@ class _Walk:
                 return ("load", last(n[1]), n[2], n[3])
             if k == "pla":
                 return ("pla", last(n[1]), n[2])
+            if k == "sprin" and n[2]:
+                return last(ti["spr"][n[1]][n[2] - 1])
             raise _Unsupported(k)
 
         pos = len(self.costs)
@@ -713,14 +783,32 @@ class _Walk:
             self._setreg(r, node)
         for key, node in slots:
             self.slotsym[key] = node
-        # Costs: the body runs T times, its closing branch is taken T-1
+        # The SPR streams run on: the inner loop's last load of each is
+        # this walk's latest, read at the last trip.
+        self.inner_spr = {}
+        for k, occ in ti["spr"].items():
+            if occ:
+                self.spr[k].append(("jlast", sub(occ[-1])))
+                self.spr_pos[k].append(pos)
+                self.spr_ins[k].append(ti["spr_ins"][k][0])
+                ps = ti["spr_pos"][k]
+                self.inner_spr[k] = (ps[0], ps[-1], len(ti["costs"]),
+                                     sum(ti["costs"][:ps[0]]),
+                                     ti["spr_tail"][k])
+        self.nest_pos = pos
+        self.nest_cycles = None if T is None else T * sum(ti["costs"])
+        # Costs: the body runs T times; a closing branch is taken T-1
         # times (2 cycles) and falls through once.
         self.costs.append(0)
-        for i, kc, _kt, cc, _ct in ti["steps"][:-1]:
+        steps = ti["steps"] if closing is None else ti["steps"][:-1]
+        for i, kc, _kt, cc, _ct in steps:
             self.steps.append((i, 0, kc, 0, cc) if T is None
                               else (i, kc * T, 0, cc * T, 0))
-        self.steps.append((e, 0, 1, -1, 2) if T is None
-                          else (e, T, 0, 2 * T - 1, 0))
+        if closing is not None:
+            self.steps.append((closing, 0, 1, -1, 2) if T is None
+                              else (closing, T, 0, 2 * T - 1, 0))
+            self.nest_cycles = None if T is None else \
+                self.nest_cycles + T - 1
 
     # ------------------------------------------------------------ step
     def _step(self, pos, i):
@@ -728,6 +816,13 @@ class _Walk:
         spec = instr.spec
         m = instr.mnemonic
         rd, rs1, rs2, imm = instr.rd, instr.rs1, instr.rs2, instr.imm
+        site = None if self.sites is None else self.sites.get(i)
+        if site is not None:
+            # A unit's materialized constant: the run passes its value.
+            if site >= 0:
+                self._setreg(rd, ("site", site))
+            self._tick(i, 1)
+            return
 
         if m == "jal" and (instr.addr + imm) // 4 == i + 1:
             # Fall-through jump (codegen filler): pure 2-cycle timing
@@ -760,6 +855,7 @@ class _Walk:
             self._setreg(rd, ("pla", self._reg(rs1), m == "pl.sig"))
         elif m.startswith("pl.sdotsp."):
             self._pl_sdotsp(pos, instr)
+            self.spr_ins[int(m[-1])].append(i)
             self._tick(i, 1 + self.wait)
             return
         elif spec.is_load:
@@ -855,8 +951,6 @@ class _Walk:
         self.spr = {k: [sub(n) for n in v] for k, v in self.spr.items()}
 
     def _pl_sdotsp(self, pos, instr):
-        if not self.allow_spr:
-            raise _Unsupported("pl.sdotsp outside a hardware loop")
         if not instr.rs1:
             raise _Unsupported("pl.sdotsp x0 base")
         k = int(instr.mnemonic[-1])
@@ -876,13 +970,29 @@ class _Walk:
     def _check_spr_gaps(self):
         """Every same-index SPR re-read must be >= 1 instruction away
         (cyclically): then it is provably stall-free, so the static
-        1+wait cost is exact for all vectorized iterations."""
-        blen = len(self.costs)
+        1+wait cost is exact for all vectorized iterations.
+
+        An inner loop counts as one trip here: its own walk checked the
+        gaps between its trips, so only its first and last access meet
+        this walk's."""
+        P = self.nest_pos
+        inner = self.inner_spr
+        L = next(iter(inner.values()))[2] if inner else 1
+        blen = len(self.costs) - 1 + L if P is not None else len(self.costs)
         for k, ps in self.spr_pos.items():
             if not ps:
                 continue
-            gaps = [ps[j + 1] - ps[j] - 1 for j in range(len(ps) - 1)]
-            gaps.append(blen - ps[-1] + ps[0] - 1)  # across the back edge
+            at = []  # (first, last) coordinate of each access
+            for p in ps:
+                if p == P:
+                    first, last = inner[k][:2]
+                    at.append((P + first, P + last))
+                else:
+                    c = p + L - 1 if P is not None and p > P else p
+                    at.append((c, c))
+            gaps = [at[j + 1][0] - at[j][1] - 1 for j in range(len(at) - 1)]
+            # across the back edge
+            gaps.append(blen - at[-1][1] + at[0][0] - 1)
             if min(gaps) < 1:
                 raise _Unsupported(f"SPR {k} re-read gap < 1")
 
@@ -902,8 +1012,11 @@ def _collect_placeholders(node, out):
     elif k == "alu":
         _collect_placeholders(node[2], out)
         _collect_placeholders(node[3], out)
-    elif k in ("load", "pla", "j2", "isum"):
+    elif k in ("load", "pla", "j2", "isum", "jlast"):
         _collect_placeholders(node[1], out)
+    elif k == "jprev":
+        _collect_placeholders(node[1], out)
+        _collect_placeholders(node[2], out)
 
 
 def _finalize(walk, extra_roots=()):
@@ -948,8 +1061,11 @@ def _finalize(walk, extra_roots=()):
         elif k == "alu":
             scan(node[2])
             scan(node[3])
-        elif k in ("load", "pla", "j2", "isum"):
+        elif k in ("load", "pla", "j2", "isum", "jlast"):
             scan(node[1])
+        elif k == "jprev":
+            scan(node[1])
+            scan(node[2])
 
     writes = [(r, node) for r, node in walk.sym.items()
               if r and node != ("regin", r)]
@@ -1136,11 +1252,18 @@ def _gather2(mem, mlen, bases, stride, T, size, dtype):
 
 def _gather_at(mem, mlen, addr, size, dtype):
     """Elements at an arbitrary address vector, with its byte range;
-    bails when an address leaves memory."""
+    bails when an address leaves memory.  Addresses spread far apart (a
+    run's per-tile weight rows) are read word by word, not as one
+    span."""
     lo, hi = int(addr.min()), int(addr.max())
     if hi >> 2 >= mlen:
         raise _Bail
     sh = _LOG2[size]
+    if (hi - lo) >> 2 > _DENSE * len(addr) + 1024:
+        words = np.array([mem[a] for a in (addr >> 2).tolist()],
+                         dtype=np.int64)
+        raw = (words >> ((addr & 3) << 3)) & ((1 << (8 * size)) - 1)
+        return raw.astype(_ELEM[size, False]).view(dtype), lo, hi
     view = _span(mem, lo, hi, dtype)
     return view[(addr >> sh) - ((lo >> 2) << (2 - sh))], lo, hi
 
@@ -1161,6 +1284,19 @@ def _with_prev(mat, prev):
     for i, (row, entry) in enumerate(prev):
         out[g + i, 0] = entry
         out[g + i, 1:] = mat[row, :-1]
+    return out
+
+
+def _prev2(first, mat):
+    """What an SPR read at the top of a nest's inner body sees at trip
+    j: ``first`` at trip 0 (the value loaded before the inner loop, per
+    outer iteration), and at every later trip the inner stream's load at
+    trip j - 1."""
+    if isinstance(first, np.ndarray) and mat.ndim == 1:
+        mat = np.broadcast_to(mat, (len(first), len(mat)))
+    out = np.empty(mat.shape, dtype=np.int64)
+    out[..., 0] = first
+    out[..., 1:] = mat[..., :-1]
     return out
 
 
@@ -1189,6 +1325,21 @@ def _lanes(x, lanes):
             .astype(np.int64)
     return np.array(_halves(x) if lanes == 2 else _bytes4(x),
                     dtype=np.int64)
+
+
+def _dots2(a, b, lanes):
+    """Lane dot products summed over the inner trips of every row of
+    ``a`` (raw words, ``(rows, n, T)`` or ``(rows, T)``) with every row
+    of ``b`` (``(rows_b, T)``): an int64 ``(rows, [n,] rows_b)`` array.
+    One float64 product is exact while the sums stay below 2**53."""
+    dt = np.int16 if lanes == 2 else np.int8
+    A = a.view(dt)
+    B = b.view(dt)
+    if A.shape[-1] < 1 << 21:
+        return (A.astype(np.float64) @ B.astype(np.float64).T) \
+            .astype(np.int64)
+    return np.einsum("...k,bk->...b", A.astype(np.int64),
+                     B.astype(np.int64))
 
 
 def _dot_v(a, b, lanes):
@@ -1316,7 +1467,11 @@ def _no_alias(lrecs, srecs, nstores, sread, swrite):
     # when the store issues after the load's last body position; any
     # k >= 1 hit means a later load would read a byte an earlier
     # iteration stored — the snapshot gather would be stale, so bail.
+    top = max(r[2] for r in srecs) if srecs else -1
+    bot = min(r[1] for r in srecs) if srecs else 0
     for lpos, llo, lhi, lbase, ls, lsz in lrecs:
+        if llo > top or bot > lhi:
+            continue  # clear of every store
         for spos, slo, shi, sbase, ss, ssz in srecs:
             if llo > shi or slo > lhi:
                 continue
@@ -1405,7 +1560,8 @@ _KERNEL_NS = {
     "np": np, "_Bail": _Bail, "_iota": _iota, "_ld": _ld, "_bounds": _bounds,
     "_gather": _gather, "_gather2": _gather2, "_gather_at": _gather_at,
     "_stride_of": _stride_of,
-    "_with_prev": _with_prev, "_shift": _shift,
+    "_with_prev": _with_prev, "_shift": _shift, "_prev2": _prev2,
+    "_dots2": _dots2,
     "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v,
     "_rows_dot2h": _rows_dot2h, "_rows_dot4b": _rows_dot4b,
     "_rows_mac": _rows_mac, "_pla_s": _pla_s, "_pla_scalar": _pla_scalar,
@@ -1533,6 +1689,10 @@ class _Lower:
         elif k == "sprin":
             out = node[2] == 0 or \
                 self.is_vec(self.t["spr"][node[1]][node[2] - 1])
+        elif k == "site":
+            out = node[1] in self.t["vary"]
+        elif k == "jprev":
+            out = self.is_vec(node[1]) or self.is_vec(node[2])
         elif k == "sum":
             out = (node[1] is not None and self.is_vec(node[1])) or \
                 any(self.is_vec(x) for x in node[2])
@@ -1551,9 +1711,10 @@ class _Lower:
         if hit is not None:
             return hit
         k = node[0]
-        if k == "j2":
+        if k in ("j2", "jprev"):
             out = True
-        elif k in ("const", "regin", "slotin", "sprin", "trip", "isum"):
+        elif k in ("const", "regin", "slotin", "sprin", "trip", "isum",
+                   "site", "jlast"):
             out = False
         elif k == "sum":
             out = any(self.is_j(x) for x in _addends(node))
@@ -1634,6 +1795,10 @@ class _Lower:
             return self.trip()
         if k == "isum":
             return self.tmp(f"{self._isum(node[1], False)} & {_M}")
+        if k == "site":
+            return f"sc[{node[1]}]"
+        if k == "jlast":
+            return self.tmp(f"int({self.as_u(node[1])}[-1])")
         # sprin reading a loop-invariant occurrence
         return self.S(self.t["spr"][node[1]][node[2] - 1])
 
@@ -1697,6 +1862,14 @@ class _Lower:
                             f"{self.Jt()}"), "w"
         if k == "isum":
             return self.tmp(self._isum(node[1], True)), "w"
+        if k == "site":
+            return self.tmp(f"sc[{node[1]}] + ss[{node[1]}] * "
+                            f"{self.J()}"), "u"
+        if k == "jlast":
+            return self.tmp(f"{self.as_u(node[1])}[:, -1]"), "u"
+        if k == "jprev":
+            return self.tmp(f"_prev2({self.as_u(node[1])}, "
+                            f"{self.as_u(node[2])})"), "u"
         return self.tmp(f"_pla_s({self.as_s(node[1], two)}, "
                         f"{node[2]})"), "s"
 
@@ -1705,8 +1878,15 @@ class _Lower:
         outer-loop vector when ``vec``, else a Python int)."""
         parts, c = (_addends(total), total[3]) if total[0] == "sum" \
             else ([total], 0)
-        inner = [x for x in parts if self.is_j(x)]
-        out = []
+        out, inner = [], []
+        for x in parts:
+            if self.is_j(x):
+                d = self.tdot(x)
+                if d is None:
+                    inner.append(x)
+                else:
+                    out.append(d if vec or not self.is_vec(x)
+                               else f"int({d}.sum())")
         if inner:
             tot = f"({' + '.join(self.w(x, True) for x in inner)})"
             out.append(f"{tot}.sum(axis=-1)" if vec and any(
@@ -1716,6 +1896,28 @@ class _Lower:
         if c:
             out.append(f"{T} * {_sext(c)}")
         return f"({' + '.join(out)})"
+
+    def tdot(self, x):
+        """A nest's dot-product term summed over the inner trips, from
+        one batched product of the two 2-D load groups it reads (every
+        row of one against every row of the other); None for any other
+        term."""
+        if x[0] != "alu" or x[1] not in ("dot2h", "dot4b"):
+            return None
+        of = self.groups2()[1]
+        a, b = of.get(x[2]), of.get(x[3])
+        if a is None or b is None or \
+                self.is_vec(x[2]) and self.is_vec(x[3]):
+            return None
+        grp = self.groups2()[0]
+        if grp[a[0]]["size"] != 4 or grp[b[0]]["size"] != 4:
+            return None
+        if self.is_vec(x[3]):
+            a, b = b, a
+        lanes = 2 if x[1] == "dot2h" else 4
+        d = self.once(("dots", a[0], b[0], lanes), lambda: self.tmp(
+            f"_dots2({self.mat2(a[0])[0]}, {self.mat2(b[0])[0]}, {lanes})"))
+        return f"{d}[{a[1]}, ..., {b[1]}]"
 
     def _carried(self, p):
         spec = self.res[p]
@@ -1842,7 +2044,8 @@ class _Lower:
             if imm == 0:
                 return self.tmp(f"np.minimum({ss(a)}, 0)"), "s"
             lo, hi = -(1 << (imm - 1)), (1 << (imm - 1)) - 1
-            return self.tmp(f"np.clip({ss(a)}, {lo}, {hi})"), "s"
+            return self.tmp(f"np.minimum(np.maximum({ss(a)}, {lo}), "
+                            f"{hi})"), "s"
         # p.exths
         return self.tmp(f"(({w(a)} & 65535) ^ 32768) - 32768"), "s"
 
@@ -2061,8 +2264,8 @@ def _lower_body(t, groups):
     # it before the window (rule 5); every later read is stall-free
     # (the walk's gap rule), so these are the only dynamic cycles.
     stalls = []
-    for pos, k in t["spr_first"]:
-        before = " - ".join([f"{sum(t['costs'][:pos])}"] + stalls)
+    for before, _off, k in t["spr_first"]:
+        before = " - ".join([f"{before}"] + stalls)
         lw.line(f"w{k} = ready[{k}] - clk[0] - {before}")
         lw.line(f"w{k} = w{k} if w{k} > 0 else 0")
         stalls.append(f"w{k}")
@@ -2073,7 +2276,9 @@ def _lower_body(t, groups):
     slots = [(lw.slot_addr(key), lw.L(node)) for key, node in t["slots"]]
     sprs = [(k, lw.L(occ[-1])) for k, occ in t["spr"].items() if occ]
     stores, srecs = [], []
-    for anode, vnode, size, pos in t["stores"]:
+    todo = _merge_stores(lw, t["stores"], stores, srecs) if t.get("unit") \
+        else t["stores"]
+    for anode, vnode, size, pos in todo:
         if lw.is_j(anode) or lw.is_j(vnode):
             # A nest's inner store: T stores per outer iteration, in
             # order; no stride (any overlap with another access bails).
@@ -2130,11 +2335,21 @@ def _lower_body(t, groups):
     for r, value in regs:
         lw.line(f"regs[{r}] = {value}")
     T = lw.trip() if t["nest"] is not None else None
-    for off, (kc, kt, cc, ct) in t["cells"]:
-        lw.line(f"x = cells[{off}]; x[0] += {_lin(kc, kt, T)} * n; "
-                f"x[1] += {_lin(cc, ct, T)} * n")
-    for pos, k in t["spr_first"]:
-        lw.line(f"cells[{pos}][1] += w{k}")
+    if t.get("unit"):
+        # A rerolled run: every unit commits its own cells.
+        incs = [lw.const(tuple(c[k] for _, c in t["cells"]))
+                for k in range(4)]
+        lw.line(f"qk = [a + b * T for a, b in zip({incs[0]}, {incs[1]})]")
+        lw.line(f"qc = [a + b * T for a, b in zip({incs[2]}, {incs[3]})]")
+        lw.line("for x, a, b in zip(cells, qk * n, qc * n):")
+        lw.line("    x[0] += a")
+        lw.line("    x[1] += b")
+    else:
+        for off, (kc, kt, cc, ct) in t["cells"]:
+            lw.line(f"x = cells[{off}]; x[0] += {_lin(kc, kt, T)} * n; "
+                    f"x[1] += {_lin(cc, ct, T)} * n")
+    for _before, off, k in t["spr_first"]:
+        lw.line(f"cells[{off}][1] += w{k}")
     sums = [sum(c[k] for _, c in t["cells"]) for k in range(4)]
     total = " + ".join([f"{_lin(sums[2], sums[3], T)} * n"] + stalls)
     lw.line(f"clk[0] += {total}")
@@ -2143,7 +2358,42 @@ def _lower_body(t, groups):
         lw.line(f"ready[{k}] = clk[0] + {2 - t['spr_tail'][k]}")
     lw.line(f"xi[0] += {_lin(sums[0], sums[1], T)} * n")
     return lw.source("def body(regs, mem, sprs, n, cells, clk, ready, xi, "
-                     "T=0):"), lw.consts
+                     "T=0, sc=(), ss=()):"), lw.consts
+
+
+def _merge_stores(lw, todo, stores, srecs):
+    """Commit as one store each set of a unit's stores that fills one
+    contiguous block per unit (a tile's outputs: ``size``-byte stores at
+    ``base + i*size``, ``base`` advancing by their total per unit); the
+    rest are returned.  A merged store's record has no stride, so any
+    overlap with a load bails."""
+    groups = {}
+    for rec in todo:
+        anode, vnode, size, _pos = rec
+        s = _aff_stride(anode, lw.res)
+        if s is None or lw.is_j(vnode) or not lw.is_vec(vnode):
+            continue
+        root, c = (anode[1], anode[3]) if anode[0] == "sum" else (anode, 0)
+        groups.setdefault((root, size, s), []).append((_sext(c), rec))
+    merged = set()
+    for (_root, size, s), members in groups.items():
+        members.sort(key=lambda m: m[0])
+        k = len(members)
+        if k < 2 or s != k * size or [m[0] for m in members] != \
+                list(range(members[0][0], members[0][0] + k * size, size)):
+            continue
+        base = lw.affine(members[0][1][0])[0]
+        value = lw.tmp(f"np.stack(({', '.join(lw.w(m[1][1]) for m in members)}"
+                       f",), axis=1).ravel()")
+        lo, hi, st = f"v{lw.nvar}", f"v{lw.nvar + 1}", f"v{lw.nvar + 2}"
+        lw.nvar += 3
+        lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {size}, n * {k}, "
+                f"{size}, mbytes)")
+        stores.append((size, base, st, value, f"n * {k}"))
+        srecs.append(f"({members[0][1][3]}, {lo}, {hi}, {base}, None, "
+                     f"{size})")
+        merged.update(id(m[1]) for m in members)
+    return [rec for rec in todo if id(rec) not in merged]
 
 
 def _lin(c, per_trip, T):
@@ -2213,6 +2463,10 @@ class _Kernel:
         self.blen_t = sum(c[1] for _, c in t["cells"])
         self.br_cost = t["costs"][-1]
         self.nest = t["nest"] is not None
+        # SPRs whose ready time a window sets, and the hardware loop a
+        # nest's inner level runs: (loop set, body start, end, count).
+        self.sprs = [k for k, occ in t["spr"].items() if occ]
+        self.hw = t["hwloop"]
         groups = _load_groups(t)
         self.cond, self.source = None, ""
         if t["cond"] is not None:
@@ -2255,9 +2509,11 @@ def _shape_key(program, kind, bs, be, wait):
         ins = program[i]
         where = ins.addr if ins.mnemonic == "auipc" or \
             (ins.mnemonic == "jal" and ins.rd) else None
-        body.append((ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm, where))
+        body.append((ins.mnemonic, ins.rd, ins.rs1, ins.rs2, ins.imm,
+                     ins.imm2, ins.loop, where))
     nxt = None
-    if program[be].spec.is_load and be + 1 < len(program):
+    if program[be].spec.is_load and be + 1 < len(program) and \
+            not program[be].mnemonic.startswith("pl.sdotsp"):
         nxt = reads_mask(program[be + 1])
     return kind, wait, tuple(body), nxt
 
@@ -2343,6 +2599,16 @@ def _make_hw_wrapper(cpu, idx, plan):
     return wrapper
 
 
+def _hw_tail(loop):
+    """``(base, state)``: the hardware-loop registers the interpreter
+    leaves after the last trip of ``loop`` (loop set, body start, end,
+    count), or ``(0, None)``."""
+    if loop is None:
+        return 0, None
+    lp, bs, be, count = loop
+    return lp * 4, [0, bs, be, count - max(count, 1)]
+
+
 def _make_br_wrapper(cpu, idx, plan):
     code = cpu._code
     hw = cpu._hw
@@ -2351,6 +2617,8 @@ def _make_br_wrapper(cpu, idx, plan):
     body, cond = kernel.body, kernel.cond
     br_cost, nest = kernel.br_cost, kernel.nest
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
+    sprs_set = kernel.sprs
+    hw_base, hw_tail = _hw_tail(kernel.hw)
     cells = cpu._stats[bs:be + 1]
     last = cpu._stats[be]
     clk, ready = cpu.clk, cpu._spr_ready
@@ -2365,14 +2633,16 @@ def _make_br_wrapper(cpu, idx, plan):
         _BAILS.inc()
 
     def iteration():
-        """One iteration on the closures, up to its closing branch or
-        the back edge of a loop inside the body; the run loop steps
+        """One iteration on the closures, up to its closing branch, the
+        back edge of a branch loop inside the body or the last
+        instruction of a hardware loop inside it; the run loop steps
         (and budgets) the rest."""
         i, count = bs, 1
         try:
             while True:
                 j = code[i]()
-                if i == be or j <= i:
+                if i == be or j <= i or hw[0] and j == hw[2] or \
+                        hw[4] and j == hw[6]:
                     xi[0] += count
                     return j
                 i = j
@@ -2399,6 +2669,12 @@ def _make_br_wrapper(cpu, idx, plan):
             extra = 2 * r - (1 if exited else 0) - r * br_cost
             clk[0] += extra
             last[1] += extra
+            # Every taken branch before the window's last SPR loads
+            # delayed them a cycle.
+            for k in sprs_set:
+                ready[k] += r - 1
+            if hw_tail is not None:
+                hw[hw_base:hw_base + 4] = hw_tail
             tstats["vector_loops"] += 1
             tstats["vector_iters"] += r
             if nest:
@@ -2437,40 +2713,535 @@ def _make_br_wrapper(cpu, idx, plan):
     return wrapper
 
 
-def _make_fuse_wrapper(cpu, idx, end):
-    code = cpu._code
+def _make_fuse_wrapper(cpu, idx, plan):
+    """The compiled stepper of the block ``idx .. plan["end"] - 1``."""
+    def fault(k):
+        _reraise_oob(cpu, idx + k)
+    return plan["make"](cpu.regs, cpu.memory.words, cpu.sprs,
+                        cpu._spr_ready, cpu.clk, cpu._stats[idx:plan["end"]],
+                        cpu._hw, cpu._xinstret, cpu._code[idx], fault,
+                        plan["end"], plan["consts"])
+
+
+def _make_run_wrapper(cpu, idx, plan):
+    """A rerolled run: one window over its units, or after a bail the
+    first unit's compiled block (and the per-unit windows after it)."""
+    fallback = _make_fuse_wrapper(cpu, idx, plan["fuse"])
     hw = cpu._hw
-    fns = [code[i] for i in range(idx, end)]
-    first = code[idx]
+    body = plan["kernel"].body
+    n, T, end = plan["n"], plan["T"], plan["end"]
+    sc, ss = plan["sc"], plan["ss"]
+    regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
+    cells = cpu._stats[idx:idx + n * plan["unit"]]
+    clk, ready = cpu.clk, cpu._spr_ready
     xi = cpu._xinstret
-    extra = len(fns) - 1
+    xlimit = cpu._xlimit
+    tstats = cpu.turbo_stats
+    hw_base, hw_tail = _hw_tail(plan["hw"])
+    state = {"bails": 0}
 
     def wrapper():
-        if hw[0] or hw[4]:
-            return first()  # an active loop may end mid-block: step out
-        off = 0
+        if hw[0] or hw[4] or state["bails"] >= MAX_BAILS:
+            return fallback()
         try:
-            for fn in fns:
-                fn()
-                off += 1
-        except IndexError:
-            _reraise_oob(cpu, idx + off)
-        xi[0] += extra
+            body(regs, mem, sprs, n, cells, clk, ready, xi, T, sc, ss)
+        except _Bail:
+            state["bails"] += 1
+            tstats["bails"] += 1
+            _BAILS.inc()
+            return fallback()
+        hw[hw_base:hw_base + 4] = hw_tail
+        xi[0] -= 1  # the dispatch counted one
+        tstats["vector_loops"] += 1
+        tstats["nest_loops"] += 1
+        tstats["vector_iters"] += n
+        if xi[0] > xlimit[0]:
+            raise ExecutionLimitExceeded(
+                f"exceeded {cpu.max_instrs} instructions")
         return end
     return wrapper
+
+
+# ----------------------------------------------------------------------
+# Compiled straight-line blocks: one generated scalar function per shape
+# ----------------------------------------------------------------------
+#: ALU ops lowered inline (``a``/``b`` the source registers, ``i`` the
+#: site's immediate, ``d`` the old rd); the rest call their ``ALU_OPS``
+#: entry.
+_INLINE = {
+    "addi": "({a} + {i}) & 4294967295",
+    "add": "({a} + {b}) & 4294967295",
+    "sub": "({a} - {b}) & 4294967295",
+    "and": "{a} & {b}", "or": "{a} | {b}", "xor": "{a} ^ {b}",
+    "andi": "{a} & {i} & 4294967295",
+    "ori": "({a} | {i}) & 4294967295",
+    "xori": "({a} ^ {i}) & 4294967295",
+    "slli": "({a} << {i}) & 4294967295",
+    "srli": "{a} >> {i}",
+    "srai": "((({a} ^ 2147483648) - 2147483648) >> {i}) & 4294967295",
+    "sll": "({a} << ({b} & 31)) & 4294967295",
+    "srl": "{a} >> ({b} & 31)",
+    "sra": "((({a} ^ 2147483648) - 2147483648) >> ({b} & 31)) "
+           "& 4294967295",
+    "slt": "1 if ({a} ^ 2147483648) < ({b} ^ 2147483648) else 0",
+    "sltu": "1 if {a} < {b} else 0",
+    "slti": "1 if ({a} ^ 2147483648) - 2147483648 < {i} else 0",
+    "sltiu": "1 if {a} < {i} else 0",
+    "mul": "({a} * {b}) & 4294967295",
+    "p.mac": "({d} + (({a} ^ 2147483648) - 2147483648) * "
+             "(({b} ^ 2147483648) - 2147483648)) & 4294967295",
+    "p.max": "{a} if ({a} ^ 2147483648) > ({b} ^ 2147483648) else {b}",
+    "p.min": "{a} if ({a} ^ 2147483648) < ({b} ^ 2147483648) else {b}",
+    "p.maxu": "{a} if {a} > {b} else {b}",
+    "p.minu": "{a} if {a} < {b} else {b}",
+}
+#: Inline ops that take no immediate.
+_NO_IMM = frozenset({"add", "sub", "and", "or", "xor", "sll", "srl", "sra",
+                     "slt", "sltu", "mul", "p.mac", "p.max", "p.min",
+                     "p.maxu", "p.minu"})
+
+
+def _const_kind(m):
+    """How a block instruction's per-site constants come from its
+    immediate: 0 none, 1 the immediate, 2 ``lui``, 3 ``auipc``, 4 the
+    ``p.clip`` bounds, 5 the unsigned immediate."""
+    if m.startswith("pl."):
+        return 0
+    if m in ("lui", "auipc", "p.clip", "sltiu"):
+        return {"lui": 2, "auipc": 3, "p.clip": 4, "sltiu": 5}[m]
+    if SPECS[m].is_load or SPECS[m].is_store:
+        return 1
+    return 0 if m in _NO_IMM or m in ACC_ALU_OPS or m not in ALU_OPS else 1
+
+
+def _cost_kind(m):
+    """0 one cycle, 1 a load (its load-use stall and wait states), 2 a
+    store or ``pl.sdotsp`` (wait states; the SPR stall is dynamic), 3 a
+    division."""
+    if m.startswith("pl.sdotsp"):
+        return 2
+    if SPECS[m].is_load:
+        return 1
+    if SPECS[m].is_store:
+        return 2
+    return 3 if m in _DIV_OPS else 0
+
+
+#: Mnemonic -> (cost kind, constant kind) of a block instruction.
+_BLOCK_KINDS = {m: (_cost_kind(m), _const_kind(m)) for m in SPECS}
+#: Constants per constant kind.
+_NCONSTS = (0, 1, 1, 1, 2, 1)
+
+
+def _lower_block(shape):
+    """Source and constants of ``make(...)``, the factory of one block
+    shape's compiled stepper.
+
+    ``shape`` is ``(mnemonic, rd, rs1, rs2, cost)`` per instruction.
+    Registers live in locals and are written back at the end; memory, the
+    SPRs and their ready times are written in program order, as the
+    closures write them.  An out-of-range access (an ``IndexError`` from
+    the word list) commits every earlier instruction's registers, cells
+    and cycles, then raises the interpreter's ``MemoryError32`` through
+    ``fault``."""
+    body, loaded, written, stalls = [], [], {}, []
+    ns = {"_pla_scalar": _pla_scalar, "_dot2h": _dot2h, "_dot4b": _dot4b,
+          "_TANH_M": _TANH_M, "_TANH_Q": _TANH_Q, "_SIG_M": _SIG_M,
+          "_SIG_Q": _SIG_Q}
+    nconst = [0]
+    prefix = [0]
+    for entry in shape:
+        prefix.append(prefix[-1] + entry[4])
+
+    def get(r):
+        if r not in written and r not in loaded:
+            loaded.append(r)
+        return f"x{r}"
+
+    def put(r, expr, j):
+        """Write register ``r`` (x0 included: a post-increment base)."""
+        body.append(f"x{r} = {expr}")
+        written.setdefault(r, j)
+
+    def const():
+        nconst[0] += 1
+        return f"c{nconst[0] - 1}"
+
+    def addr(rs1, postinc):
+        body.append(f"a = {get(rs1)}" if postinc
+                    else f"a = ({get(rs1)} + {const()}) & 4294967295")
+
+    for j, (m, rd, rs1, rs2, _cost) in enumerate(shape):
+        spec = SPECS[m]
+        wd = rd or 32  # the closures' write sink for x0
+        if m.startswith("pl.sdotsp."):
+            k = int(m[-1])
+            dot = "_dot4b" if ".b." in m else "_dot2h"
+            body += [f"k = {j}", f"e = ready[{k}] - t - {prefix[j]} - st",
+                     "if e < 0: e = 0"]
+            acc = get(rd)
+            # rd is written before the load, as the closure writes it,
+            # so it stays written when the load faults.
+            put(wd, f"({acc} + {dot}(sprs[{k}], {get(rs2)})) & 4294967295"
+                if rs2 else acc, j - 1)
+            body += [f"a = {get(rs1)}", f"sprs[{k}] = mem[a >> 2]"]
+            put(rs1, "(a + 4) & 4294967295", j)
+            body += [f"ready[{k}] = t + {prefix[j]} + st + e + 2",
+                     "st += e", f"w{j} = e"]
+            stalls.append(j)
+        elif spec.is_load:
+            body.append(f"k = {j}")
+            addr(rs1, spec.postinc)
+            if spec.size == 4:
+                put(wd, "mem[a >> 2]", j)
+            else:
+                sh, mask = ("(a & 2) << 3", 65535) if spec.size == 2 else \
+                    ("(a & 3) << 3", 255)
+                body.append(f"v = (mem[a >> 2] >> ({sh})) & {mask}")
+                top = (mask + 1) >> 1
+                put(wd, f"((v ^ {top}) - {top}) & 4294967295"
+                    if spec.signed else "v", j)
+            if spec.postinc:
+                put(rs1, f"(a + {const()}) & 4294967295", j)
+        elif spec.is_store:
+            body.append(f"k = {j}")
+            addr(rs1, spec.postinc)
+            v = get(rs2) if rs2 else "0"
+            if spec.size == 4:
+                body.append(f"mem[a >> 2] = {v}")
+            else:
+                sh, mask = ("(a & 2) << 3", 65535) if spec.size == 2 else \
+                    ("(a & 3) << 3", 255)
+                body += [f"q = a >> 2", f"s = {sh}",
+                         f"mem[q] = (mem[q] & ~({mask} << s)) | "
+                         f"(({v} & {mask}) << s)"]
+            if spec.postinc:
+                put(rs1, f"(a + {const()}) & 4294967295", j)
+        elif m in ("lui", "auipc"):
+            put(wd, const(), j)
+        elif m in ("pl.tanh", "pl.sig"):
+            tbl = "_SIG_M, _SIG_Q, True" if m == "pl.sig" else \
+                "_TANH_M, _TANH_Q, False"
+            put(wd, f"_pla_scalar(({get(rs1)} ^ 2147483648) - 2147483648, "
+                f"{tbl}) & 4294967295", j)
+        elif m == "p.clip":
+            lo, hi = const(), const()
+            body.append(f"v = ({get(rs1)} ^ 2147483648) - 2147483648")
+            put(wd, f"({lo} if v < {lo} else {hi} if v > {hi} else v) "
+                "& 4294967295", j)
+        elif m in ALU_OPS:
+            form = _INLINE.get(m, "{b}")
+            a = get(rs1)
+            b = get(rs2) if "{b}" in form else None
+            third = get(rd) if m in ACC_ALU_OPS else \
+                None if m in _NO_IMM else const()
+            if m in _INLINE:
+                expr = form.format(a=a, b=b, i=third, d=third)
+            else:
+                ns[f"_op{j}"] = ALU_OPS[m]
+                expr = f"_op{j}({a}, {b}, {third})"
+            put(wd, expr, j)
+        elif m not in ("fence", "ecall"):
+            raise _Unsupported(m)
+    n = len(shape)
+    ns["_Q"] = tuple(entry[4] for entry in shape)
+    ns["_P"] = tuple(prefix)
+    head = ["def blk():", "    if hw[0] or hw[4]:",
+            # A stale active loop (a branch out of its body) is stepped
+            # on the closures.
+            "        return first()"]
+    if nconst[0]:
+        # One tuple per site, not one closure cell per constant: cells
+        # are objects the garbage collector walks at every Cpu build.
+        head.append(f"    {', '.join(f'c{i}' for i in range(nconst[0]))},"
+                    " = consts")
+    head += [f"    x{r} = regs[{r}]" for r in loaded]
+    head.append("    t = clk[0]")
+    if stalls:
+        head.append("    st = 0")
+    commit = [f"regs[{r}] = x{r}" for r in written]
+    if any(SPECS[entry[0]].is_load or SPECS[entry[0]].is_store
+           for entry in shape):
+        # The handler commits what the closures would have committed
+        # before the faulting access.
+        fix = [f"regs[{r}] = x{r}" if r in loaded else
+               f"if k > {j}: regs[{r}] = x{r}" for r, j in written.items()]
+        fix += ["for x, q in zip(cells[:k], _Q):", "    x[0] += 1",
+                "    x[1] += q"]
+        fix += [f"if k > {j}: cells[{j}][1] += w{j}" for j in stalls]
+        fix += ["clk[0] = t + _P[k]" + (" + st" if stalls else ""),
+                "fault(k)"]
+        head.append("    try:")
+        head += [f"        {ln}" for ln in body]
+        head.append("    except IndexError:")
+        head += [f"        {ln}" for ln in fix]
+    else:
+        head += [f"    {ln}" for ln in body]
+    tail = commit + ["for x, q in zip(cells, _Q):", "    x[0] += 1",
+                     "    x[1] += q"]
+    tail += [f"cells[{j}][1] += w{j}" for j in stalls]
+    tail += [f"clk[0] = t + {prefix[-1]}" + (" + st" if stalls else ""),
+             f"xi[0] += {n - 1}", "return end"]
+    head += [f"    {ln}" for ln in tail]
+    args = ["regs", "mem", "sprs", "ready", "clk", "cells", "hw", "xi",
+            "first", "fault", "end", "consts"]
+    src = f"def make({', '.join(args)}):\n" + \
+        "".join(f"    {ln}\n" for ln in head) + "    return blk\n"
+    return src, ns
+
+
+#: Process-wide block cache: block shape -> (factory of its stepper,
+#: the shape).
+_BLOCKS = {}
+
+
+def _block_plan(program, wait, lo, hi):
+    """The compiled-block plan of instructions ``lo .. hi - 1``."""
+    shape, consts = [], []
+    kinds = _BLOCK_KINDS
+    for i in range(lo, hi):
+        ins = program[i]
+        m, rd = ins.mnemonic, ins.rd
+        ck, kk = kinds[m]
+        if ck == 0:
+            cost = 1
+        elif ck == 1:  # the next instruction is in the block or ends it
+            cost = 1 + wait + (rd and reads_mask(program[i + 1]) >> rd & 1)
+        else:
+            cost = 1 + wait if ck == 2 else DIV_CYCLES
+        shape.append((m, rd, ins.rs1, ins.rs2, cost))
+        if kk == 1:
+            consts.append(ins.imm)
+        elif kk:
+            imm = ins.imm
+            if kk == 2:
+                consts.append((imm << 12) & _M32)
+            elif kk == 3:
+                consts.append((ins.addr + (imm << 12)) & _M32)
+            elif kk == 5:
+                consts.append(imm & _M32)
+            elif imm:
+                consts += [-(1 << (imm - 1)), (1 << (imm - 1)) - 1]
+            else:
+                consts += [-(1 << 31), 0]
+    key = tuple(shape)
+    hit = _BLOCKS.get(key)
+    if hit is None:
+        src, ns = _lower_block(key)
+        hit = _BLOCKS[key] = (_exec(src, ns, "make"), key)
+        _TURBO_EVENTS.inc(event="block_compile")
+    # The cached key: every block of one shape shares one tuple.
+    return {"end": hi, "make": hit[0], "consts": tuple(consts),
+            "key": hit[1]}
+
+
+# ----------------------------------------------------------------------
+# Rerolled runs: adjacent level-e tiles as one nest window
+# ----------------------------------------------------------------------
+#: Block shape -> its materialized constants (see :func:`_site_plan`).
+_SITE_PLANS = {}
+
+
+def _site_plan(shape):
+    """The materialized constants (``li``, ``auipc``) of a block shape:
+    ``(offset, partner offset, const index, partner const index)`` each,
+    the partner being the ``addi`` that completes a ``lui`` (or None)."""
+    out = _SITE_PLANS.get(shape)
+    if out is not None:
+        return out
+    out, at = [], [0]
+    for entry in shape:
+        at.append(at[-1] + _NCONSTS[_BLOCK_KINDS[entry[0]][1]])
+    j = 0
+    while j < len(shape):
+        m, rd, rs1 = shape[j][:3]
+        if rd and m in ("lui", "auipc"):
+            nxt = shape[j + 1] if j + 1 < len(shape) else None
+            if m == "lui" and nxt is not None and nxt[0] == "addi" and \
+                    nxt[1] == nxt[2] == rd:
+                out.append((j, j + 1, at[j], at[j + 1]))
+                j += 2
+                continue
+            out.append((j, None, at[j], None))
+        elif rd and m == "addi" and not rs1:
+            out.append((j, None, at[j], None))
+        j += 1
+    _SITE_PLANS[shape] = out
+    return out
+
+
+def _unit_sites(plan):
+    """``(values, other constants)`` of a unit's block: the value each
+    materialized constant holds, and every other per-site constant."""
+    consts = plan["consts"]
+    values, used = [], set()
+    for _j, _j2, c1, c2 in _site_plan(plan["key"]):
+        used.add(c1)
+        v = consts[c1]
+        if c2 is not None:
+            used.add(c2)
+            v += consts[c2]
+        values.append(v & _M32)
+    return values, tuple(c for i, c in enumerate(consts) if i not in used)
+
+
+def _interval(node, sites, N, T):
+    """Value range of an address node over a run's units ``u < N`` and
+    inner trips ``j < T``, or None when it depends on runtime state."""
+    k = node[0]
+    if k == "const":
+        return node[1], node[1]
+    if k == "site":
+        c, s = sites[node[1]]
+        return min(c, c + s * (N - 1)), max(c, c + s * (N - 1))
+    if k == "trip":
+        return T, T
+    if k == "j2":
+        r = _interval(node[1], sites, N, T)
+        d = node[2] * (T - 1)
+        return None if r is None else (r[0] + min(0, d), r[1] + max(0, d))
+    if k == "sum" and node[1] is None:
+        lo = hi = node[3]
+        for x in node[2]:
+            r = _interval(x, sites, N, T)
+            if r is None:
+                return None
+            lo, hi = lo + r[0], hi + r[1]
+        return lo, hi
+    if k == "alu" and node[1] == "mul":
+        a = _interval(node[2], sites, N, T)
+        b = _interval(node[3], sites, N, T)
+        if a is None or b is None:
+            return None
+        ends = [x * y for x in a for y in b]
+        return min(ends), max(ends)
+    return None
+
+
+def _run_aliases(t, sites, N, T):
+    """Does a store of the run land where the run loads, as far as the
+    run's constants place them?  (Say, a conv tile's im2col copy that its
+    own loop then reads.)  Such a run keeps its per-unit windows; the
+    window's runtime check covers the addresses held in registers."""
+    def ranges(accesses):
+        out = []
+        for addr, size in accesses:
+            r = _interval(addr, sites, N, T)
+            if r is not None:
+                out.append((r[0], r[1] + size - 1))
+        return out
+    loads = ranges((node[1], node[2]) for node in t["load_pos"])
+    return any(slo <= lhi and llo <= shi for slo, shi in
+               ranges((a, size) for a, _v, size, _p in t["stores"])
+               for llo, lhi in loads)
+
+
+#: Process-wide unit cache: unit shape -> [template or None, kernel].
+_UNITS = {}
+
+
+def _unit_kernel(program, wait, run, sites):
+    """The kernel of a run's unit shape, or None when the shape has none
+    or the run aliases (:func:`_run_aliases`).  The run's materialized
+    constants and its trip count are the kernel's arguments, so every
+    run of one shape shares one walk and one compile."""
+    bs, be, _values, sig, block, loop = run[0]
+    vary = tuple(k for k, (_c, s) in enumerate(sites) if s)
+    key = (wait, block["key"], sig[1], sig[2], sig[3], vary)
+    unit = _UNITS.get(key)
+    if unit is None:
+        at = {}
+        for k, (j, j2, _c1, _c2) in enumerate(_site_plan(block["key"])):
+            at[bs + j] = k
+            if j2 is not None:
+                at[bs + j2] = -1
+        try:
+            t = _try_loop_template(program, wait, bs, be, nest=True,
+                                   sites=at)
+            if len(t["cells"]) != be - bs + 1 or t["hwloop"] is None:
+                raise _Unsupported("not one block and one hardware loop")
+            t["unit"], t["vary"] = True, vary
+        except _Unsupported:
+            t = None
+        unit = _UNITS[key] = [t, None]
+    t, kernel = unit
+    if t is None or _run_aliases(t, sites, len(run), sig[4]):
+        return None
+    if kernel is None:
+        try:
+            kernel = unit[1] = _Kernel(t)
+        except _Unsupported:
+            unit[0] = None
+            return None
+        _TURBO_EVENTS.inc(event="kernel_compile")
+    else:
+        _TURBO_EVENTS.inc(event="kernel_cache_hit")
+    return kernel
+
+
+def _plan_runs(program, wait, plans):
+    """Reroll the tiles: each maximal sequence of adjacent units — a
+    compiled block ending at its own ``lp.setupi``, then that hardware
+    loop — with one shape and one trip count, whose materialized
+    constants advance by fixed strides, becomes a ``run`` plan at its
+    first unit: one nest window of units x trips."""
+    units = []
+    for idx in sorted(plans):
+        kind, plan = plans[idx]
+        if kind != "fuse":
+            continue
+        setup = plan["end"]
+        loop = plans.get(setup)
+        if loop is None or loop[0] != "hw" or \
+                program[setup].mnemonic != "lp.setupi" or \
+                program[setup].imm < 1:
+            continue
+        loop = loop[1]
+        values, rest = _unit_sites(plan)
+        units.append((idx, loop["be"], values,
+                      (plan["key"], rest, id(loop["kernel"]),
+                       program[setup].loop, program[setup].imm),
+                      plan, loop))
+    i = 0
+    while i < len(units):
+        j, strides = i + 1, None
+        while j < len(units) and units[j][0] == units[j - 1][1] + 1 and \
+                units[j][3] == units[i][3]:
+            d = [b - a for a, b in zip(units[j - 1][2], units[j][2])]
+            if strides is not None and d != strides:
+                break
+            strides, j = d, j + 1
+        if j - i >= 2:
+            _plan_run(program, wait, plans, units[i:j], strides)
+        i = j
+
+
+def _plan_run(program, wait, plans, run, strides):
+    bs, be, values, sig, block, _loop = run[0]
+    N, T = len(run), sig[4]
+    kernel = _unit_kernel(program, wait, run, list(zip(values, strides)))
+    if kernel is None:
+        return
+    last = run[-1][5]
+    plans[bs] = ("run", {
+        "kernel": kernel, "fuse": block, "n": N, "T": T,
+        "unit": be - bs + 1, "end": run[-1][1] + 1, "sc": values,
+        "ss": strides,
+        "hw": (sig[3], last["bs"], last["be"], T)})
+    _TURBO_EVENTS.inc(event="compile_run")
 
 
 # ----------------------------------------------------------------------
 # Program analysis: which entries get which wrapper
 # ----------------------------------------------------------------------
 def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
-                       budget=None):
+                       budget=None, sites=None):
     stop = be if cond_term is None else be - 1
-    walk = _Walk(program, bs, stop, wait, allow_spr=cond_term is None,
-                 nest=nest, budget=budget)
+    walk = _Walk(program, bs, stop, wait, nest=nest, budget=budget,
+                 sites=sites)
     extra = list(walk.load_pos)  # every access is range-checked
     extra += [g[0] for g in walk.guards]
-    if walk.nest is not None:
+    if walk.nest is not None and "hw" not in walk.nest:
         extra += [walk.nest["x0"], walk.nest["y"]]
     cond = None
     if cond_term is not None:
@@ -2490,12 +3261,32 @@ def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
          "sloads": sorted(walk.slot_loaded, key=repr),
          "load_pos": walk.load_pos, "cond": cond, "spr_tail": {},
          "steps": walk.steps, "cells": sorted(cells.items()),
-         "guards": walk.guards, "nest": walk.nest}
+         "guards": walk.guards, "nest": walk.nest, "vary": (),
+         "hwloop": walk.hw_loop,
+         "spr_pos": walk.spr_pos, "spr_ins": walk.spr_ins,
+         "spr_first": []}
+    # Each SPR's first access (its only dynamic stall, on the window's
+    # first iteration) and the cycles from its last load to the end of
+    # the iteration (its ready time after the window).
+    P, costs, inner = walk.nest_pos, walk.costs, walk.inner_spr
+
+    def nest_cycles():
+        if walk.nest_cycles is None:
+            raise _Unsupported("SPR timing spans a runtime trip count")
+        return walk.nest_cycles
     for k, ps in walk.spr_pos.items():
-        if ps:
-            t["spr_tail"][k] = sum(walk.costs[ps[-1]:])
-    t["spr_first"] = sorted((ps[0], k) for k, ps in walk.spr_pos.items()
-                            if ps)
+        if not ps:
+            continue
+        p = ps[0]
+        before = sum(costs[:p]) + (
+            inner[k][3] if p == P else
+            nest_cycles() if P is not None and P < p else 0)
+        t["spr_first"].append((before, walk.spr_ins[k][0] - bs, k))
+        p = ps[-1]
+        t["spr_tail"][k] = sum(costs[p + 1:]) + (
+            inner[k][4] if p == P else costs[p] + (
+                nest_cycles() if P is not None and P > p else 0))
+    t["spr_first"].sort()
     return t
 
 
@@ -2578,8 +3369,17 @@ def analyze_program(program, wait_states=0):
             if head == start:
                 continue
         if len(block) >= FUSE_MIN:
-            plans[start] = ("fuse", end)
-            _TURBO_EVENTS.inc(event="compile_fuse")
+            # A CSR reads the live counters: it runs on its closure
+            # between two compiled segments.
+            lo = start
+            for i in range(start, end + 1):
+                if i == end or program[i].spec.fmt == Fmt.CSR:
+                    if i - lo >= 2:
+                        plans[lo] = ("fuse", _block_plan(
+                            program, wait_states, lo, i))
+                        _TURBO_EVENTS.inc(event="compile_fuse")
+                    lo = i + 1
+    _plan_runs(program, wait_states, plans)
     return plans
 
 
@@ -2605,6 +3405,9 @@ def build_turbo_code(cpu):
             tcode[idx] = _make_hw_wrapper(cpu, idx, plan[1])
         elif plan[0] == "br":
             tcode[idx] = _make_br_wrapper(cpu, idx, plan[1])
+        elif plan[0] == "run":
+            tcode[idx] = _make_run_wrapper(cpu, idx, plan[1])
+            nfuse += 1
         else:
             tcode[idx] = _make_fuse_wrapper(cpu, idx, plan[1])
             nfuse += 1

@@ -7,8 +7,8 @@ kernel commit paths — see ``docs/TIMING.md``).  Attribution over those
 cells keyed on the static instruction *index* is therefore exact and
 engine-agnostic by construction: a profile's cycle total equals
 ``Trace.total_cycles()`` bit-for-bit on either engine, and turbo's
-fused superblocks and vectorized loops land on the regions their
-instructions came from.
+compiled blocks, vectorized loops and rerolled tile runs land on the
+regions their instructions came from.
 
 Region paths come from one of two sources:
 

@@ -93,49 +93,61 @@ def operational_intensity(network: Network,
 _CALIBRATION: dict | None = None
 
 
-def calibrate_host(size: int = 384, repeats: int = 3,
-                   copy_mb: int = 32) -> dict:
-    """Measure this host's compute and bandwidth roofs (cached).
+def _best_time(fn, repeats: int, min_time: float, clock) -> float:
+    """The fastest of repeated timed calls of ``fn``: at least ``repeats``
+    of them, and more until they span ``min_time`` seconds, so a moment
+    when the host is busy cannot set a roof."""
+    best, spent, calls = float("inf"), 0.0, 0
+    while calls < repeats or spent < min_time:
+        t0 = clock()
+        fn()
+        took = clock() - t0
+        best, spent, calls = min(best, took), spent + took, calls + 1
+    return best
+
+
+def measure_roofs(size: int = 384, repeats: int = 3, copy_mb: int = 32,
+                  min_time: float = 0.2, clock=time.perf_counter) -> dict:
+    """Measure this host's compute and bandwidth roofs (uncached).
 
     * ``peak_flops`` — float64 GEMM on a ``size x size`` problem, the
       exact primitive the AOT backend's hot loop is built from.
     * ``bandwidth`` — bytes/s of a large out-of-cache array copy.
 
-    Returns ``{"peak_flops", "bandwidth_bytes_s", "ridge_oi"}`` where
+    Each roof is the fastest of timed runs spanning at least
+    ``min_time`` seconds (``clock`` times them).  Returns
+    ``{"peak_flops", "bandwidth_bytes_s", "ridge_oi"}`` where
     ``ridge_oi`` is the intensity at which the two roofs intersect.
     """
-    global _CALIBRATION
-    if _CALIBRATION is not None:
-        return _CALIBRATION
     rng = np.random.default_rng(2020)
     a = rng.standard_normal((size, size))
     b = rng.standard_normal((size, size))
     out = np.empty((size, size))
     np.matmul(a, b, out=out)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.matmul(a, b, out=out)
-        best = min(best, time.perf_counter() - t0)
+    best = _best_time(lambda: np.matmul(a, b, out=out), repeats, min_time,
+                      clock)
     peak = 2 * size ** 3 / best if best > 0 else 0.0
 
     n = copy_mb * (1 << 20) // 8
     src = rng.standard_normal(n)
     dst = np.empty(n)
     np.copyto(dst, src)  # warm-up
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        np.copyto(dst, src)
-        best = min(best, time.perf_counter() - t0)
+    best = _best_time(lambda: np.copyto(dst, src), repeats, min_time, clock)
     # One read + one write stream.
     bandwidth = 2 * n * 8 / best if best > 0 else 0.0
-
-    _CALIBRATION = {
+    return {
         "peak_flops": peak,
         "bandwidth_bytes_s": bandwidth,
         "ridge_oi": peak / bandwidth if bandwidth > 0 else 0.0,
     }
+
+
+def calibrate_host() -> dict:
+    """This host's roofs (:func:`measure_roofs`), measured once per
+    process."""
+    global _CALIBRATION
+    if _CALIBRATION is None:
+        _CALIBRATION = measure_roofs()
     return _CALIBRATION
 
 

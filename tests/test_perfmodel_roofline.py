@@ -2,7 +2,7 @@
 
 All assertions pin explicit ``peak_flops``/``bandwidth`` so the tests
 are deterministic — :func:`calibrate_host` is only checked for shape
-and positivity.
+and positivity, and its timing window through an injected clock.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from repro.nn.network import ConvSpec, DenseSpec, LstmSpec, Network
 from repro.perfmodel import (calibrate_host, network_bytes, network_ops,
                              operational_intensity, roofline_point,
                              roofline_report)
+from repro.perfmodel.roofline import measure_roofs
 from repro.rrm.networks import FULL_SUITE
 
 _DENSE = Network("d", (DenseSpec(8, 4, "relu"),), timesteps=1)
@@ -137,6 +138,25 @@ class TestReport:
         assert cal["ridge_oi"] == pytest.approx(
             cal["peak_flops"] / cal["bandwidth_bytes_s"])
         assert calibrate_host() is cal
+
+    def test_calibration_outlasts_a_busy_moment(self):
+        # The clock makes the first four timed runs slow (a busy host)
+        # and every later one fast: each roof keeps timing until its
+        # window is spent, so both come from the fast runs.
+        slow, fast = 0.03, 0.001
+        ticks = [0, 0.0]
+
+        def clock():
+            ticks[0] += 1
+            if ticks[0] % 2 == 0:  # the end of a timed run
+                ticks[1] += slow if ticks[0] <= 8 else fast
+            return ticks[1]
+        roofs = measure_roofs(size=16, copy_mb=1, min_time=0.2,
+                              clock=clock)
+        assert roofs["peak_flops"] == pytest.approx(2 * 16 ** 3 / fast)
+        assert roofs["bandwidth_bytes_s"] == pytest.approx(
+            2 * (1 << 20) / fast)
+        assert ticks[0] > 2 * 4  # timing went on past the slow runs
 
 
 class TestAotBenchWithinCeiling:

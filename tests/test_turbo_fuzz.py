@@ -22,14 +22,25 @@ a constant away, or a triangular bound), memory-resident or register
 accumulators, inner stores (one or two per trip), short loops inside
 the inner body, and outputs that sometimes overwrite a later row's
 input.
+
+A third corpus draws straight-line blocks, which turbo compiles into
+generated scalar code: every ALU op, loads and stores of every size
+(post-increment ones with ``rd == rs1`` too), ``x0`` destinations,
+``lui``/``auipc``, ``pl.tanh``/``pl.sig``, ``pl.sdotsp`` reads at random
+distances from the load that fills their SPR, and ``csrr`` of the cycle
+and retired-instruction counters in mid-block.  An out-of-range access
+at a random instruction of such a block must fault like the
+interpreter, with the same committed state.
 """
 
 import numpy as np
 import pytest
 
-from repro.core import Cpu, Memory
-from repro.core.turbo import VEC_MIN_ITERS, VEC_MIN_WORK
+from repro.core import Cpu, Memory, MemoryError32, turbo
+from repro.core.cpu import ACC_ALU_OPS, ALU_OPS
+from repro.core.turbo import FUSE_MIN, VEC_MIN_ITERS, VEC_MIN_WORK
 from repro.isa import assemble
+from repro.isa.instructions import SPECS, Fmt
 
 N_CASES = 220
 #: Cases per chunk (of N_CASES // 4) that must run a vector window.
@@ -327,3 +338,205 @@ def test_nests_match_interpreter(chunk):
         nest_cases += tur_cpu.turbo_stats["nest_loops"] > 0
     assert nest_cases >= MIN_NEST_CASES, \
         f"only {nest_cases} of {per_chunk} cases ran a nest window"
+
+
+#: Registers a random block computes in, its load/store bases and its
+#: two SPR streams.
+_BDATA = ["t0", "t1", "t2", "a0", "a3", "a4", "a5", "s8"]
+_BPTRS = ["s4", "s5"]
+_BSTREAMS = ["s6", "s7"]
+_LOADS = ["lb", "lbu", "lh", "lhu", "lw", "p.lb", "p.lbu", "p.lh", "p.lhu",
+          "p.lw"]
+_STORES = ["sb", "sh", "sw", "p.sb", "p.sh", "p.sw"]
+_ALU_ALL = sorted(set(ALU_OPS) - ACC_ALU_OPS)
+_SPR_OPS = ["pl.sdotsp.h.0", "pl.sdotsp.h.1", "pl.sdotsp.b.0",
+            "pl.sdotsp.b.1"]
+
+
+class _BlockGen:
+    """Random straight-line blocks (see the module docstring)."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def _reg(self, x0=0.1):
+        return "x0" if self.rng.random() < x0 else \
+            str(self.rng.choice(_BDATA))
+
+    def instr(self):
+        rng = self.rng
+        kind = rng.choice(["alu", "alu", "alu", "acc", "load", "load",
+                           "store", "store", "spr", "spr", "pla", "upper",
+                           "csr"], p=[.16, .16, .16, .06, .1, .08, .06, .04,
+                                      .07, .05, .02, .02, .02])
+        if kind == "alu":
+            m = str(rng.choice(_ALU_ALL))
+            d, a, b = self._reg(), self._reg(0.05), self._reg(0.05)
+            fmt = SPECS[m].fmt
+            if fmt == Fmt.R:
+                return f"{m} {d}, {a}, {b}"
+            if fmt == Fmt.R2:
+                return f"{m} {d}, {a}"
+            if fmt == Fmt.SHIFT:
+                return f"{m} {d}, {a}, {int(rng.integers(0, 32))}"
+            return f"{m} {d}, {a}, {int(rng.integers(-2048, 2048))}"
+        if kind == "acc":
+            m = str(rng.choice(sorted(ACC_ALU_OPS)))
+            return f"{m} {self._reg()}, {self._reg(0)}, {self._reg(0)}"
+        if kind in ("load", "store"):
+            m = str(rng.choice(_LOADS if kind == "load" else _STORES))
+            size = SPECS[m].size
+            ptr = str(rng.choice(_BPTRS))
+            if SPECS[m].postinc:
+                off = size * int(rng.integers(-2, 3))
+                where = f"{off}({ptr}!)"
+            else:
+                where = f"{size * int(rng.integers(-8, 8))}({ptr})"
+            if kind == "store":
+                return f"{m} {self._reg()}, {where}"
+            # the post-increment wins over rd when rd == rs1
+            d = ptr if SPECS[m].postinc and rng.random() < 0.15 \
+                else self._reg()
+            return f"{m} {d}, {where}"
+        if kind == "spr":
+            # a read of SPR k stalls while the load that filled it is
+            # less than two cycles old
+            return f"{rng.choice(_SPR_OPS)} {self._reg(0.3)}, " \
+                f"{rng.choice(_BSTREAMS)}, {self._reg(0.2)}"
+        if kind == "pla":
+            return f"{rng.choice(['pl.tanh', 'pl.sig'])} {self._reg()}, " \
+                f"{self._reg(0)}"
+        if kind == "upper":
+            return f"{rng.choice(['lui', 'auipc'])} {self._reg()}, " \
+                f"{int(rng.integers(0, 1 << 20))}"
+        return f"csrr {self._reg(0)}, {rng.choice(['mcycle', 'minstret'])}"
+
+    def block(self):
+        return [self.instr() for _ in range(
+            int(self.rng.integers(FUSE_MIN, 40)))]
+
+    def program_text(self, blocks=None, fault_at=None):
+        """Blocks separated by taken branches, after a prologue that sets
+        every register; ``fault_at`` puts an access through the
+        out-of-range pointer s9 at that position of the first block."""
+        rng = self.rng
+        lines = [f"li {r}, {int(rng.integers(0, 1 << 32))}" for r in _BDATA]
+        lines += ["li s4, 0x4000", "li s5, 0x6002", "li s6, 0x8000",
+                  "li s7, 0xa004", "li s9, 0x20000"]
+        blocks = blocks or [self.block() for _ in
+                            range(int(rng.integers(1, 4)))]
+        if fault_at is not None:
+            blocks[0].insert(fault_at, str(rng.choice([
+                "lw t0, 0(s9)", "p.lhu a0, 2(s9!)", "sh a3, 6(s9)",
+                "p.sb t1, 1(s9!)", "pl.sdotsp.h.1 a4, s9, t2"])))
+        for n, block in enumerate(blocks):
+            lines.append(f"beq x0, x0, B{n}")
+            lines.append(f"B{n}:")
+            lines += block
+        lines.append("ebreak")
+        return "\n".join(lines) + "\n"
+
+
+def _total_state(cpu):
+    return {"regs": list(cpu.regs), "sprs": list(cpu.sprs),
+            "ready": list(cpu._spr_ready), "memory": list(cpu.memory.words),
+            "cycles": cpu.cycles, "instret": cpu.instret,
+            "stats": [list(cell) for cell in cpu._stats]}
+
+
+def _run_block_program(text, image):
+    """Both engines' total state and fault message (None without)."""
+    program = assemble(text)
+    out = []
+    for engine in ("interp", "turbo"):
+        memory = Memory(1 << 16)
+        memory.store_halfwords(0x1000, image)
+        cpu = Cpu(program, memory, engine=engine)
+        try:
+            cpu.run()
+            fault = None
+        except MemoryError32 as exc:
+            fault = str(exc)
+        out.append((_total_state(cpu), fault, cpu))
+    return out
+
+
+N_BLOCK_CASES = 240
+
+
+@pytest.mark.parametrize("chunk", range(2))
+def test_blocks_match_interpreter(chunk):
+    per_chunk = N_BLOCK_CASES // 2
+    for case in range(chunk * per_chunk, (chunk + 1) * per_chunk):
+        rng = np.random.default_rng(9000 + case)
+        text = _BlockGen(rng).program_text()
+        image = rng.integers(0, 1 << 16, 20000)
+        (ref, ref_fault, _), (tur, tur_fault, cpu) = \
+            _run_block_program(text, image)
+        assert ref_fault is None, f"case {case}: {ref_fault}\n{text}"
+        assert cpu.turbo_stats["fused_blocks"] > 0
+        for key in ref:
+            assert tur[key] == ref[key], f"case {case}: {key}\n{text}"
+
+
+def test_out_of_range_access_faults_like_the_interpreter():
+    # The k-th instruction of a compiled block faults: the same
+    # MemoryError32 (its pc), and everything before it committed.
+    for case in range(60):
+        rng = np.random.default_rng(9500 + case)
+        gen = _BlockGen(rng)
+        block = gen.block()
+        k = int(rng.integers(0, len(block) + 1))
+        text = gen.program_text([block], fault_at=k)
+        image = rng.integers(0, 1 << 16, 20000)
+        (ref, ref_fault, _), (tur, tur_fault, _) = \
+            _run_block_program(text, image)
+        assert ref_fault is not None and tur_fault == ref_fault, \
+            f"case {case}\n{text}"
+        for key in ref:
+            assert tur[key] == ref[key], f"case {case}: {key}\n{text}"
+
+
+#: A branch out of a hardware-loop body leaves the loop active; the
+#: block it lands in must step on the closures (an active loop's end is
+#: checked per dispatch).
+STALE_LOOP = """
+    li a0, 0
+    li a1, 3
+    lp.setupi 0, 10, end
+    addi a0, a0, 1
+    bltu a0, a1, stay
+    beq x0, x0, out
+stay:
+    addi a2, a2, 5
+end:
+    addi a3, a3, 7
+out:
+    add a4, a0, a1
+    slli a5, a4, 3
+    xor a2, a2, a5
+    sub a3, a3, a2
+    ebreak
+"""
+
+
+def test_block_after_a_branch_out_of_a_hardware_loop():
+    program = assemble(STALE_LOOP)
+    out = next(i for i in range(len(program))
+               if program[i].mnemonic == "add")
+    assert turbo.analyze_program(program)[out][0] == "fuse"
+    ref = Cpu(program, Memory(1 << 12))
+    ref.run()
+    tur = Cpu(program, Memory(1 << 12))
+    calls = []
+    first = tur._code[out]
+
+    def counted():
+        calls.append(out)
+        return first()
+    tur._code[out] = counted
+    tur._tcode = turbo.build_turbo_code(tur)
+    tur.run()
+    assert calls == [out]  # the guard stepped the block's first closure
+    assert ref._hw[0] == tur._hw[0] == 1
+    assert _total_state(tur) == _total_state(ref)

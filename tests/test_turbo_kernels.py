@@ -92,6 +92,31 @@ def matvec_a(n_out, n_in, out_addr=0x9000):
     return b.text()
 
 
+def matvec_e(n_out, n_in, out_addr=0x9000, edit=None):
+    """``kernels.matvec._gen_tiled`` at level e (weights at 0x1004, so no
+    row pointer is a multiple of 4096, whose ``li`` is one instruction
+    shorter; input at 0x8000); ``edit(tile, line)`` may rewrite each
+    tile's lines."""
+    b = AsmBuilder()
+    gen_matvec(b, LEVELS["e"], MatvecJob(
+        n_in, n_out, w_addr=0x1004, x_addr=0x8000, b_addr=0x8800,
+        out_addr=out_addr, row_halfwords=n_in, acc_addr=0x100))
+    b.emit("ebreak")
+    if edit is None:
+        return b.text()
+    lines, tile = [], 0
+    for line in b.text().splitlines():
+        lines.append(edit(tile, line))
+        tile += line.strip().startswith("lp.setupi")
+    return "\n".join(lines) + "\n"
+
+
+def _runs(text):
+    return [plan[1]["n"] for plan in
+            turbo.analyze_program(assemble(text)).values()
+            if plan[0] == "run"]
+
+
 def conv_a(cin, cout, h, w):
     """``kernels.conv._gen_level_a`` with 3x3 filters."""
     b = AsmBuilder()
@@ -118,9 +143,10 @@ def _run_both(text):
 def _assert_total_equivalence(ref, tur):
     assert tur.instret == ref.instret
     assert tur.cycles == ref.cycles
-    assert [tur.reg(r) for r in range(32)] == \
-        [ref.reg(r) for r in range(32)]
+    assert tur.regs == ref.regs  # x0's write sink too
     assert list(tur.sprs) == list(ref.sprs)
+    assert tur._spr_ready == ref._spr_ready
+    assert tur._hw == ref._hw
     assert tur.memory.words == ref.memory.words
     assert tur._stats == ref._stats
 
@@ -179,6 +205,10 @@ def _events():
 #: Two-level nests per level: level a's 29 matvec layers and lee2018's
 #: two conv layers.
 NESTS = {"a": 31, "e": 0}
+#: Rerolled runs per level (unit kernel shapes, runs): level e's tile
+#: runs share one unit shape; lee2018's conv tiles copy the im2col
+#: buffer their own loop reads, so they never form a run.
+RUNS = {"a": (0, 0), "e": (1, 23)}
 
 
 class TestKernelCache:
@@ -186,12 +216,15 @@ class TestKernelCache:
     # whose fall-through ``jal`` fillers split them into blocks; 5 conv
     # loops over unrolled 3x3 bodies; 3 nest shapes (the matvec layer,
     # conv1's oy-by-ox, conv2's ox-by-ci).  The conv loops three or more
-    # levels deep stay on the closures.
+    # levels deep stay on the closures.  ``shapes`` and ``loops`` count
+    # loop kernels; a run's unit kernel comes on top (``RUNS``).
     @pytest.mark.parametrize("level, shapes, loops",
                              [("a", 14, 95), ("e", 9, 698)])
     def test_one_kernel_per_body_shape(self, monkeypatch, level, shapes,
                                        loops):
         monkeypatch.setattr(turbo, "_KERNELS", {})
+        monkeypatch.setattr(turbo, "_UNITS", {})
+        units, runs = RUNS[level]
         texts = [NetworkPlan(net, level).text for net in suite(1)]
         before = _events()
         plans = [turbo.analyze_program(assemble(text)) for text in texts]
@@ -200,18 +233,20 @@ class TestKernelCache:
         hits = after["kernel_cache_hit"] - before.get("kernel_cache_hit", 0)
         kernels = {id(plan[1]["kernel"]) for p in plans
                    for plan in p.values() if plan[0] != "fuse"}
-        assert compiled == shapes == len(kernels)
-        assert compiled + hits == loops
+        assert compiled == shapes + units == len(kernels)
+        assert compiled + hits == loops + runs
+        assert sum(plan[0] == "run" for p in plans
+                   for plan in p.values()) == runs
         assert sum(plan[0] == "br" and plan[1]["kernel"].nest
                    for p in plans for plan in p.values()) == NESTS[level]
 
         # A rebuilt program (a new Program object: no plan cache) hits
-        # the kernel cache for every loop and compiles nothing.
+        # the kernel cache for every loop and run and compiles nothing.
         again = [turbo.analyze_program(assemble(text)) for text in texts]
         final = _events()
         assert final["kernel_compile"] == after["kernel_compile"]
         assert final["kernel_cache_hit"] - after["kernel_cache_hit"] == \
-            loops
+            loops + runs
         assert [[plan[1]["kernel"] for plan in p.values()
                  if plan[0] != "fuse"] for p in again] == \
             [[plan[1]["kernel"] for plan in p.values()
@@ -435,11 +470,112 @@ class TestNests:
         assert tur.turbo_stats["bails"] == 0
 
 
+#: Four 8-trip tiles whose primes open each unit, after a short loop
+#: whose last instruction loads SPR 0: the first prime stalls a cycle.
+PRIMED = "\n".join(
+    ["li a0, 0x1000", "li a1, 0x1400", "li a2, 0x1800",
+     "lp.setupi 1, 2, pre", "addi t5, t5, 1", "pl.sdotsp.h.0 x0, a2, x0",
+     "pre:"]
+    + [line for k in range(4) for line in (
+        "pl.sdotsp.h.0 x0, a0, x0", "pl.sdotsp.h.1 x0, a1, x0",
+        "li t1, 0x8000", f"lp.setupi 0, 8, end{k}", "p.lw t0, 4(t1!)",
+        "pl.sdotsp.h.0 s0, a0, t0", "pl.sdotsp.h.1 s1, a1, t0",
+        f"end{k}:")]
+    + ["ebreak"]) + "\n"
+
+#: The level-e tile loop inside a branch loop: the primes sit in the
+#: outer level, the tile's 16 trips are the nest's inner level.
+TILE_LOOP = "\n".join(
+    ["li t2, 0", "li t3, 12", "outer:"]
+    + tile_e(16).splitlines()[:-2]
+    + ["end:", "addi t2, t2, 1", "bltu t2, t3, outer", "ebreak"]) + "\n"
+
+
+class TestRuns:
+    def test_level_e_dense_layer_is_one_run_window(self):
+        # Ten 10-row tiles: the first one's block also sets the bias and
+        # output pointers, so tiles 1-9 form the run.
+        text = matvec_e(100, 64)
+        assert _runs(text) == [9]
+        ref, tur = _run_both(text)
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert (stats["nest_loops"], stats["bails"]) == (1, 0)
+        assert stats["vector_iters"] == 16 + 9  # tile 0's trips + 9 units
+
+    def test_store_into_a_later_units_weights_bails_to_the_units(self):
+        # Tile k's outputs land in the weight rows a later tile reads.
+        # The output pointer is a register, so the run is built and its
+        # window bails at run time; the first unit's block, the per-unit
+        # hardware-loop windows and the later blocks finish the layer.
+        text = matvec_e(100, 64, out_addr=0x1004 + 2 * 64 * 50)
+        assert _runs(text) == [9]
+        ref, tur = _run_both(text)
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert stats["bails"] == 1 and stats["nest_loops"] == 0
+        assert stats["vector_loops"] == 10  # every tile's own window
+
+    def test_unit_reading_its_own_stores_is_not_a_run(self):
+        # Each unit copies its input into a staging buffer through a
+        # materialized pointer and its loop reads the copy (lee2018's
+        # im2col): rejected at build time, the units stay exact.
+        def stage(tile, line):
+            if line.strip() == "li t1, 32768" and tile > 0:
+                return ("    li t4, 32896\n    li t1, 32768\n"
+                        "    p.lw t0, 4(t4!)\n    p.sw t0, 4(t1!)\n"
+                        "    li t1, 32768")
+            return line
+        text = matvec_e(100, 64, edit=stage)
+        assert _runs(text) == []
+        ref, tur = _run_both(text)
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["bails"] == 0
+
+    def test_stride_break_splits_the_run(self):
+        # From tile 5 on, row pointer a3 reads 4 bytes further on: its
+        # stride breaks once, so tiles 1-4 and 5-9 are two runs.
+        def shift(tile, line):
+            head = line.strip().split(",")
+            if tile >= 5 and head[0] == "li a3":
+                return f"    li a3, {int(head[1]) + 4}"
+            return line
+        text = matvec_e(100, 64, edit=shift)
+        assert _runs(text) == [4, 5]
+        ref, tur = _run_both(text)
+        _assert_total_equivalence(ref, tur)
+        assert tur.turbo_stats["nest_loops"] == 2
+        assert tur.turbo_stats["bails"] == 0
+
+    def test_first_units_spr_entry_stall_is_exact(self):
+        # The instruction before the run loads SPR 0, so the first unit's
+        # first prime waits a cycle; the later primes never wait.
+        program = assemble(PRIMED)
+        assert _runs(PRIMED) == [4]
+        ref, tur = _run_both(PRIMED)
+        _assert_total_equivalence(ref, tur)
+        start = next(i for i in range(len(program))
+                     if program[i].mnemonic == "lp.setupi") + 3
+        assert ref._stats[start] == [1, 2]
+        assert tur.turbo_stats["nest_loops"] == 1
+
+    def test_branch_loop_around_a_tile_is_one_nest_window(self):
+        # A hardware loop is a nest's inner level too: 12 tiles of 16
+        # trips, primes in the outer level, in one window.
+        ref, tur = _run_both(TILE_LOOP)
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert (stats["vector_loops"], stats["nest_loops"],
+                stats["vector_iters"], stats["bails"]) == (1, 1, 12, 0)
+
+
 class TestFusedPrologues:
     def test_level_e_fuses_every_straight_block_outside_loops(self):
         # Every straight block of at least FUSE_MIN instructions outside
-        # the hardware-loop bodies is fused — a tile prologue too, which
-        # ends at its own loop's lp.setupi (the setup stays unfused).
+        # the hardware-loop bodies is compiled — a tile prologue too,
+        # which ends at its own loop's lp.setupi (the setup stays out);
+        # the first tile of a rerolled run keeps its block as the run's
+        # fallback.
         network = next(net for net in suite(1) if net.name == "lee2018")
         program = assemble(NetworkPlan(network, "e").text)
         cfg = build_cfg(program)
@@ -455,12 +591,16 @@ class TestFusedPrologues:
                      if program[block.end].mnemonic.startswith("lp.setup")]
         assert prologues
         for block in prologues:
-            assert plans[block.start] == ("fuse", block.end)
+            kind, plan = plans[block.start]
+            if kind == "run":
+                plan = plan["fuse"]
+            assert kind in ("fuse", "run") and plan["end"] == block.end
+        assert any(plan[0] == "run" for plan in plans.values())
         params = quantize_params(
             init_params(network, np.random.default_rng(2020)))
         cpu = NetworkProgram(network, params, "e", engine="turbo").cpu
         assert cpu.turbo_stats["fused_blocks"] == sum(
-            plan[0] == "fuse" for plan in plans.values())
+            plan[0] in ("fuse", "run") for plan in plans.values())
 
 
 class TestStepPath:
