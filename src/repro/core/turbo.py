@@ -1300,6 +1300,15 @@ def _prev2(first, mat):
     return out
 
 
+def _shift2(entries, m):
+    """:func:`_shift` for every row of ``m``: row r starts at
+    ``entries[r]``."""
+    out = np.empty(m.shape, dtype=np.int64)
+    out[:, 0] = entries
+    out[:, 1:] = m[:, :-1]
+    return out
+
+
 def _shift(entry, v):
     """One-iteration-delayed carry: ``entry`` then ``v`` without its
     last element."""
@@ -1560,7 +1569,8 @@ _KERNEL_NS = {
     "np": np, "_Bail": _Bail, "_iota": _iota, "_ld": _ld, "_bounds": _bounds,
     "_gather": _gather, "_gather2": _gather2, "_gather_at": _gather_at,
     "_stride_of": _stride_of,
-    "_with_prev": _with_prev, "_shift": _shift, "_prev2": _prev2,
+    "_with_prev": _with_prev, "_shift": _shift, "_shift2": _shift2,
+    "_prev2": _prev2,
     "_dots2": _dots2,
     "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v,
     "_rows_dot2h": _rows_dot2h, "_rows_dot4b": _rows_dot4b,
@@ -1902,6 +1912,11 @@ class _Lower:
         one batched product of the two 2-D load groups it reads (every
         row of one against every row of the other); None for any other
         term."""
+        d = self.tdot_at(x)
+        return None if d is None else f"{d[0]}[{d[1]}, ..., {d[2]}]"
+
+    def tdot_at(self, x):
+        """``(products, row, column)`` of :meth:`tdot`'s term, or None."""
         if x[0] != "alu" or x[1] not in ("dot2h", "dot4b"):
             return None
         of = self.groups2()[1]
@@ -1917,7 +1932,99 @@ class _Lower:
         lanes = 2 if x[1] == "dot2h" else 4
         d = self.once(("dots", a[0], b[0], lanes), lambda: self.tmp(
             f"_dots2({self.mat2(a[0])[0]}, {self.mat2(b[0])[0]}, {lanes})"))
-        return f"{d}[{a[1]}, ..., {b[1]}]"
+        return d, a[1], b[1]
+
+    # ------------------------------------------------------ families
+    def fam(self, nodes):
+        """One node standing for outer-loop vectors (a tile's per-row
+        chains): its vector is an ``(R, n)`` array, row r being
+        ``nodes[r]``'s, computed once for all rows where the nodes are
+        isomorphic — they differ only in which rows of one load group or
+        one batched product they read and which carried registers they
+        shift — and stacked from the rows' own vectors below where they
+        are not.  None unless every node is an outer-loop vector."""
+        if any(not self.is_vec(n) or self.is_j(n) for n in nodes):
+            return None
+        return self.once(("fam", tuple(nodes)), lambda: self._fam(nodes)
+                         or self._leaf(f"np.stack(({', '.join(self.w(n) for n in nodes)},))", "w"))
+
+    def _leaf(self, expr, form):
+        node = ("fam", len(self.memo))
+        self.memo[("V", node)] = (self.tmp(expr), form)
+        self.vec[node], self.jv[node] = True, False
+        return node
+
+    def _fam(self, nodes):
+        first = nodes[0]
+        k = first[0]
+        if all(n == first for n in nodes):
+            return first
+        if any(n[0] != k for n in nodes):
+            return None
+        if k == "load":
+            at = [self.gof.get(n) for n in nodes]
+            if None in at or len({g for g, _ in at}) > 1 or \
+                    any(n[2:] != first[2:] for n in nodes):
+                return None
+            form = "s" if first[3] and first[2] < 4 else "u"
+            rows = self.rows64(at[0][0], [r for _, r in at])
+            return self._leaf(rows, form)
+        def each(xs):
+            return xs[0] if all(x == xs[0] for x in xs) else self.fam(xs)
+        if k == "alu":
+            if any(n[1] != first[1] or n[4] != first[4] for n in nodes):
+                return None
+            a, b = (each([n[i] for n in nodes]) for i in (2, 3))
+            return None if a is None or b is None else \
+                ("alu", first[1], a, b, first[4])
+        if k == "sum":
+            if any(n[3] != first[3] or len(n[2]) != len(first[2]) or
+                   (n[1] is None) != (first[1] is None) for n in nodes):
+                return None
+            parts = [each([n[1] for n in nodes])] \
+                if first[1] is not None else []
+            parts += [each([n[2][i] for n in nodes])
+                      for i in range(len(first[2]))]
+            if None in parts:
+                return None
+            return ("sum", None, tuple(parts), first[3])
+        if k in ("regin", "slotin"):
+            specs = [self.res[n] for n in nodes]
+            if any(spec[0] != "shift" for spec in specs):
+                return None
+            fin = self.fam([spec[1] for spec in specs])
+            if fin is None:
+                return None
+            entries = ", ".join(self.entry(n) for n in nodes)
+            return self._leaf(f"_shift2([{entries}], {self.w(fin)})", "w")
+        if k == "isum":
+            return self._fam_isum([n[1] for n in nodes])
+        return None
+
+    def _fam_isum(self, totals):
+        """A family of inner-trip sums whose every term is a
+        :meth:`tdot` of one batched product."""
+        parts = [_addends(x) if x[0] == "sum" else [x] for x in totals]
+        if any(len(p) != len(parts[0]) for p in parts) or \
+                any(x[0] == "sum" and x[3] for x in totals):
+            return None
+        out = []
+        for i in range(len(parts[0])):
+            at = [self.tdot_at(p[i]) for p in parts]
+            if None in at or len({d for d, _a, _b in at}) > 1:
+                return None
+            rows = [a for _d, a, _b in at]
+            cols = [b for _d, _a, b in at]
+            out.append(f"{at[0][0]}[{self.const(np.array(rows))}, ..., "
+                       f"{self.const(np.array(cols))}]")
+        return self._leaf(" + ".join(out), "w")
+
+    def rows64(self, g, idx):
+        """Rows ``idx`` of 1-D load group ``g`` as an int64 matrix."""
+        m = self.mat64(g)
+        if idx == list(range(idx[0], idx[0] + len(idx))):
+            return f"{m}[{idx[0]}:{idx[0] + len(idx)}]"
+        return f"{m}[{self.const(np.array(idx, dtype=np.intp))}]"
 
     def _carried(self, p):
         spec = self.res[p]
@@ -1961,9 +2068,10 @@ class _Lower:
             return self.tmp(f"{self.mat64(gi[0])}[{gi[1]}]"), form
         gi = self.groups2()[1].get(node)
         if gi is not None:
-            m = self.once(("m2_64", gi[0]), lambda: self.tmp(
-                f"{self.mat2(gi[0])[0]}.astype(np.int64)"))
-            return self.tmp(f"{m}[{gi[1]}]"), form
+            # Only this row widens: most of a group's rows feed batched
+            # products straight from the raw words.
+            return self.tmp(f"{self.mat2(gi[0])[0]}[{gi[1]}]"
+                            ".astype(np.int64)"), form
         a = self.as_u(node[1])
         raw, lo, hi = f"v{self.nvar}", f"v{self.nvar + 1}", \
             f"v{self.nvar + 2}"
@@ -2383,8 +2491,10 @@ def _merge_stores(lw, todo, stores, srecs):
                 list(range(members[0][0], members[0][0] + k * size, size)):
             continue
         base = lw.affine(members[0][1][0])[0]
-        value = lw.tmp(f"np.stack(({', '.join(lw.w(m[1][1]) for m in members)}"
-                       f",), axis=1).ravel()")
+        family = lw.fam([m[1][1] for m in members])
+        value = lw.tmp(f"{lw.w(family)}.T.ravel()") if family is not None \
+            else lw.tmp(f"np.stack(({', '.join(lw.w(m[1][1]) for m in members)}"
+                        f",), axis=1).ravel()")
         lo, hi, st = f"v{lw.nvar}", f"v{lw.nvar + 1}", f"v{lw.nvar + 2}"
         lw.nvar += 3
         lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {size}, n * {k}, "
