@@ -1945,8 +1945,14 @@ class _Lower:
         are not.  None unless every node is an outer-loop vector."""
         if any(not self.is_vec(n) or self.is_j(n) for n in nodes):
             return None
-        return self.once(("fam", tuple(nodes)), lambda: self._fam(nodes)
-                         or self._leaf(f"np.stack(({', '.join(self.w(n) for n in nodes)},))", "w"))
+
+        def build():
+            out = self._fam(nodes)
+            if out is None:
+                rows = ", ".join(self.w(n) for n in nodes)
+                out = self._leaf(f"np.stack(({rows},))", "w")
+            return out
+        return self.once(("fam", tuple(nodes)), build)
 
     def _leaf(self, expr, form):
         node = ("fam", len(self.memo))
@@ -2492,9 +2498,7 @@ def _merge_stores(lw, todo, stores, srecs):
             continue
         base = lw.affine(members[0][1][0])[0]
         family = lw.fam([m[1][1] for m in members])
-        value = lw.tmp(f"{lw.w(family)}.T.ravel()") if family is not None \
-            else lw.tmp(f"np.stack(({', '.join(lw.w(m[1][1]) for m in members)}"
-                        f",), axis=1).ravel()")
+        value = lw.tmp(f"{lw.w(family)}.T.ravel()")
         lo, hi, st = f"v{lw.nvar}", f"v{lw.nvar + 1}", f"v{lw.nvar + 2}"
         lw.nvar += 3
         lw.line(f"{lo}, {hi}, {st} = _store_range({base}, {size}, n * {k}, "
@@ -2729,6 +2733,8 @@ def _make_br_wrapper(cpu, idx, plan):
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
     sprs_set = kernel.sprs
     hw_base, hw_tail = _hw_tail(kernel.hw)
+    setups = {i for i in range(bs, be) if cpu.program[i].mnemonic in
+              ("lp.setup", "lp.setupi")}
     cells = cpu._stats[bs:be + 1]
     last = cpu._stats[be]
     clk, ready = cpu.clk, cpu._spr_ready
@@ -2744,15 +2750,15 @@ def _make_br_wrapper(cpu, idx, plan):
 
     def iteration():
         """One iteration on the closures, up to its closing branch, the
-        back edge of a branch loop inside the body or the last
-        instruction of a hardware loop inside it; the run loop steps
-        (and budgets) the rest."""
+        back edge of a branch loop inside the body or the setup of a
+        hardware loop inside it (its wrapper windows it and the run loop
+        takes its back edges); the run loop steps (and budgets) the
+        rest."""
         i, count = bs, 1
         try:
             while True:
                 j = code[i]()
-                if i == be or j <= i or hw[0] and j == hw[2] or \
-                        hw[4] and j == hw[6]:
+                if i == be or j <= i or j in setups:
                     xi[0] += count
                     return j
                 i = j

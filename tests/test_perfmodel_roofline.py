@@ -5,7 +5,6 @@ are deterministic — :func:`calibrate_host` is only checked for shape
 and positivity, and its timing window through an injected clock.
 """
 
-import numpy as np
 import pytest
 
 from repro.nn.network import ConvSpec, DenseSpec, LstmSpec, Network

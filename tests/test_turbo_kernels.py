@@ -559,6 +559,23 @@ class TestRuns:
         assert ref._stats[start] == [1, 2]
         assert tur.turbo_stats["nest_loops"] == 1
 
+    def test_bailed_nest_keeps_its_inner_hardware_loop_windows(self):
+        # Level b's row loop around a hardware loop, each row's output
+        # landing in the weights a later row reads: the nest window
+        # bails, and every row's inner loop still runs as a window of
+        # its own.
+        b = AsmBuilder()
+        gen_matvec(b, LEVELS["b"], MatvecJob(
+            64, 16, w_addr=0x1000, x_addr=0x8000, b_addr=0x8800,
+            out_addr=0x1000 + 2 * 64 * 12, row_halfwords=64,
+            acc_addr=0x100))
+        b.emit("ebreak")
+        ref, tur = _run_both(b.text())
+        _assert_total_equivalence(ref, tur)
+        stats = tur.turbo_stats
+        assert stats["bails"] > 0 and stats["nest_loops"] == 0
+        assert stats["vector_loops"] == 16
+
     def test_branch_loop_around_a_tile_is_one_nest_window(self):
         # A hardware loop is a nest's inner level too: 12 tiles of 16
         # trips, primes in the outer level, in one window.
