@@ -2943,8 +2943,14 @@ def _cost_kind(m):
     return 3 if m in _DIV_OPS else 0
 
 
-#: Mnemonic -> (cost kind, constant kind) of a block instruction.
-_BLOCK_KINDS = {m: (_cost_kind(m), _const_kind(m)) for m in SPECS}
+#: Mnemonic -> (cost kind, constant kind) of every instruction a
+#: compiled block holds.  The rest end a block (branches, jumps,
+#: ``lp.setup``, ``ebreak``) or, like a CSR reading the live counters,
+#: run on their closures between two compiled segments.
+_BLOCK_KINDS = {m: (_cost_kind(m), _const_kind(m)) for m in SPECS
+                if m in ALU_OPS or SPECS[m].is_load or SPECS[m].is_store
+                or m in ("lui", "auipc", "pl.tanh", "pl.sig", "fence",
+                         "ecall")}
 #: Constants per constant kind.
 _NCONSTS = (0, 1, 1, 1, 2, 1)
 
@@ -3057,8 +3063,6 @@ def _lower_block(shape):
                 ns[f"_op{j}"] = ALU_OPS[m]
                 expr = f"_op{j}({a}, {b}, {third})"
             put(wd, expr, j)
-        elif m not in ("fence", "ecall"):
-            raise _Unsupported(m)
     n = len(shape)
     ns["_Q"] = tuple(entry[4] for entry in shape)
     ns["_P"] = tuple(prefix)
@@ -3485,11 +3489,9 @@ def analyze_program(program, wait_states=0):
             if head == start:
                 continue
         if len(block) >= FUSE_MIN:
-            # A CSR reads the live counters: it runs on its closure
-            # between two compiled segments.
             lo = start
             for i in range(start, end + 1):
-                if i == end or program[i].spec.fmt == Fmt.CSR:
+                if i == end or program[i].mnemonic not in _BLOCK_KINDS:
                     if i - lo >= 2:
                         plans[lo] = ("fuse", _block_plan(
                             program, wait_states, lo, i))
