@@ -3214,8 +3214,6 @@ def _interval(node, sites, N, T):
     if k == "site":
         c, s = sites[node[1]]
         return min(c, c + s * (N - 1)), max(c, c + s * (N - 1))
-    if k == "trip":
-        return T, T
     if k == "j2":
         r = _interval(node[1], sites, N, T)
         d = node[2] * (T - 1)
@@ -3228,13 +3226,6 @@ def _interval(node, sites, N, T):
                 return None
             lo, hi = lo + r[0], hi + r[1]
         return lo, hi
-    if k == "alu" and node[1] == "mul":
-        a = _interval(node[2], sites, N, T)
-        b = _interval(node[3], sites, N, T)
-        if a is None or b is None:
-            return None
-        ends = [x * y for x in a for y in b]
-        return min(ends), max(ends)
     return None
 
 
