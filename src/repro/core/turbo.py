@@ -43,18 +43,24 @@ code compiled for the program's hot paths:
   (mnemonics, registers and costs) into generated scalar Python:
   registers live in locals, immediates are per-site constants, the
   ``[count, cycles]`` increments are baked in and a ``pl.sdotsp``
-  computes its SPR stall from the ready time and the running clock.  A
-  CSR reads the live counters, so it runs on its closure between two
-  compiled segments; an out-of-range access commits everything before
-  it and raises the interpreter's ``MemoryError32`` naming its pc.
+  computes its SPR stall from the ready time and the running clock.
+  What a block computes from its constants alone (a ``lui``/``addi``
+  pair, a pointer it sets and post-increments, an access's address
+  through one) is folded once per site.  A hardware loop too short for
+  a window right after a block (lee2018's 3-trip conv loops) is held
+  by that block, unrolled.  A CSR reads the live counters, so it runs
+  on its closure between two compiled segments; an out-of-range access
+  commits everything before it and raises the interpreter's
+  ``MemoryError32`` naming its pc.
 
 Each eligible loop body is walked once into a symbolic template and the
 template is lowered to straight-line Python source — one generated
 function per body *shape* (mnemonics, registers, immediates, wait states
 and loop kind), ``exec``-ed once and cached for the process, so the
 unrolled copies of a kernel share one function.  The generated code reads
-each contiguous memory span once as a ``uint32`` array, takes halfword and
-byte operands as ``int16``/``int8`` views, groups isomorphic loads and
+each contiguous memory span once as a ``uint32`` array (a large one, such
+as a layer's weights, from a cache checked word for word), takes halfword
+and byte operands as ``int16``/``int8`` views, groups isomorphic loads and
 dot-product terms into one 2-D gather and one product-sum, reduces
 accumulators whose only consumer is the final write to one sum, and
 evaluates values that only the final write needs at the last iteration in
@@ -81,6 +87,7 @@ docs/TIMING.md.
 
 from __future__ import annotations
 
+import re
 from array import array
 
 import numpy as np
@@ -114,6 +121,9 @@ FUSE_MIN = 4
 NEST_ELEMS = 1 << 18
 #: Most instructions one template walk visits, unrolled loops included.
 UNROLL_STEPS = 8192
+#: Most instructions a compiled block retires with the short hardware
+#: loop at its end unrolled.
+UNROLL_BLOCK = 512
 
 _U64 = np.uint64
 _MASK = np.uint64(0xFFFFFFFF)
@@ -1142,6 +1152,14 @@ _WORD = "I" if array("I").itemsize == 4 else "L"
 #: A load group is read as one memory span while the span is at most
 #: this many times the bytes its members touch (plus a page of slack).
 _DENSE = 2
+#: Spans of at least this many words are cached (:func:`_span`) ...
+_SPAN_MIN = 256
+#: ... up to this many words in all (12 bytes each: the cached words'
+#: references and their uint32 copy), after which the cache starts over.
+_SPAN_WORDS = 3 << 19
+#: (word list id, first word, last word) -> (the words, their array).
+_SPANS = {}
+_SPANS_HELD = [0]
 
 
 def _iota(n):
@@ -1172,9 +1190,33 @@ def _words(mem, wlo, whi):
 
 
 def _span(mem, lo, hi, dtype):
-    """Memory bytes [lo, hi], read once as uint32 words, as ``dtype``
-    elements (element i holds the bytes at ``(lo & ~3) + i * size``)."""
-    return _words(mem, lo >> 2, hi >> 2).view(dtype)
+    """Memory bytes [lo, hi], read once as uint32 words, as read-only
+    ``dtype`` elements (element i holds the bytes at ``(lo & ~3) + i *
+    size``).
+
+    A span of at least ``_SPAN_MIN`` words (a layer's weights, read
+    again at every inference) is cached by word list and range.  A hit
+    is checked by comparing the span's words with the cached ones, which
+    costs a seventh of converting them (the word objects are mostly the
+    very ones cached), so a rewritten word or a reused list id only costs
+    a conversion."""
+    wlo, whi = lo >> 2, hi >> 2
+    if whi - wlo < _SPAN_MIN:
+        return _words(mem, wlo, whi).view(dtype)
+    key = (id(mem), wlo, whi)
+    words = mem[wlo:whi + 1]
+    hit = _SPANS.get(key)
+    if hit is not None and hit[0] == words:
+        return hit[1].view(dtype)
+    out = np.frombuffer(array(_WORD, words), dtype=np.uint32)
+    out.flags.writeable = False
+    if hit is None:
+        _SPANS_HELD[0] += len(words)
+        if _SPANS_HELD[0] > _SPAN_WORDS:
+            _SPANS.clear()
+            _SPANS_HELD[0] = len(words)
+    _SPANS[key] = (words, out)
+    return out.view(dtype)
 
 
 def _bounds(bases, stride, n, mlen):
@@ -1251,19 +1293,21 @@ def _gather2(mem, mlen, bases, stride, T, size, dtype):
 
 
 def _gather_at(mem, mlen, addr, size, dtype):
-    """Elements at an arbitrary address vector, with its byte range;
-    bails when an address leaves memory.  Addresses spread far apart (a
-    run's per-tile weight rows) are read word by word, not as one
-    span."""
+    """Elements at an arbitrary address array (``(n,)``, or ``(n, T)``
+    in a nest), with its byte range; bails when an address leaves
+    memory.  Addresses spread far apart (a run's per-tile weight rows)
+    are read word by word, not as one span."""
     lo, hi = int(addr.min()), int(addr.max())
     if hi >> 2 >= mlen:
         raise _Bail
     sh = _LOG2[size]
-    if (hi - lo) >> 2 > _DENSE * len(addr) + 1024:
-        words = np.array([mem[a] for a in (addr >> 2).tolist()],
+    if (hi - lo) >> 2 > _DENSE * addr.size + 1024:
+        flat = addr.ravel()
+        words = np.array([mem[a] for a in (flat >> 2).tolist()],
                          dtype=np.int64)
-        raw = (words >> ((addr & 3) << 3)) & ((1 << (8 * size)) - 1)
-        return raw.astype(_ELEM[size, False]).view(dtype), lo, hi
+        raw = (words >> ((flat & 3) << 3)) & ((1 << (8 * size)) - 1)
+        out = raw.astype(_ELEM[size, False]).view(dtype)
+        return out.reshape(addr.shape), lo, hi
     view = _span(mem, lo, hi, dtype)
     return view[(addr >> sh) - ((lo >> 2) << (2 - sh))], lo, hi
 
@@ -1288,24 +1332,15 @@ def _with_prev(mat, prev):
 
 
 def _prev2(first, mat):
-    """What an SPR read at the top of a nest's inner body sees at trip
-    j: ``first`` at trip 0 (the value loaded before the inner loop, per
-    outer iteration), and at every later trip the inner stream's load at
-    trip j - 1."""
+    """Each row one trip late, ``first`` at trip 0: what an SPR read at
+    the top of a nest's inner body sees (``first`` the value loaded
+    before the inner loop, per outer iteration), or a family of
+    one-iteration-delayed carries (``first`` their entries)."""
     if isinstance(first, np.ndarray) and mat.ndim == 1:
         mat = np.broadcast_to(mat, (len(first), len(mat)))
     out = np.empty(mat.shape, dtype=np.int64)
     out[..., 0] = first
     out[..., 1:] = mat[..., :-1]
-    return out
-
-
-def _shift2(entries, m):
-    """:func:`_shift` for every row of ``m``: row r starts at
-    ``entries[r]``."""
-    out = np.empty(m.shape, dtype=np.int64)
-    out[:, 0] = entries
-    out[:, 1:] = m[:, :-1]
     return out
 
 
@@ -1353,6 +1388,22 @@ def _dots2(a, b, lanes):
 
 def _dot_v(a, b, lanes):
     return (_lanes(a, lanes) * _lanes(b, lanes)).sum(axis=-1)
+
+
+def _dot_sum(a, b, lanes):
+    """Lane dot products of two inner-trip word arrays (``(n, T)`` or
+    ``(T,)``) summed over the trips: one float64 product, exact while
+    the sums stay below 2**53."""
+    dt = np.int16 if lanes == 2 else np.int8
+    A = a.astype(np.uint32).view(dt)
+    B = b.astype(np.uint32).view(dt)
+    if A.ndim < B.ndim:
+        A, B = B, A
+    if A.shape[-1] >= 1 << 21:
+        return (A.astype(np.int64) * B).sum(axis=-1)
+    A, B = A.astype(np.float64), B.astype(np.float64)
+    out = A @ B if B.ndim == 1 else np.einsum("ik,ik->i", A, B)
+    return out.astype(np.int64)
 
 
 def _signed_rows(raw):
@@ -1569,10 +1620,9 @@ _KERNEL_NS = {
     "np": np, "_Bail": _Bail, "_iota": _iota, "_ld": _ld, "_bounds": _bounds,
     "_gather": _gather, "_gather2": _gather2, "_gather_at": _gather_at,
     "_stride_of": _stride_of,
-    "_with_prev": _with_prev, "_shift": _shift, "_shift2": _shift2,
-    "_prev2": _prev2,
+    "_with_prev": _with_prev, "_shift": _shift, "_prev2": _prev2,
     "_dots2": _dots2,
-    "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v,
+    "_excl_cumsum": _excl_cumsum, "_dot_v": _dot_v, "_dot_sum": _dot_sum,
     "_rows_dot2h": _rows_dot2h, "_rows_dot4b": _rows_dot4b,
     "_rows_mac": _rows_mac, "_pla_s": _pla_s, "_pla_scalar": _pla_scalar,
     "_signed32": _signed32, "_store_range": _store_range,
@@ -1893,6 +1943,8 @@ class _Lower:
             if self.is_j(x):
                 d = self.tdot(x)
                 if d is None:
+                    d = self.tsum(x)
+                if d is None:
                     inner.append(x)
                 else:
                     out.append(d if vec or not self.is_vec(x)
@@ -1906,6 +1958,17 @@ class _Lower:
         if c:
             out.append(f"{T} * {_sext(c)}")
         return f"({' + '.join(out)})"
+
+    def tsum(self, x):
+        """A dot-product term of two inner-trip streams (say, an SPR
+        read one trip late) summed over the inner trips by one float64
+        product; None for any other term."""
+        if x[0] != "alu" or x[1] not in ("dot2h", "dot4b") or \
+                not (self.is_j(x[2]) and self.is_j(x[3])):
+            return None
+        d = self.tmp(f"_dot_sum({self.w(x[2], True)}, "
+                     f"{self.w(x[3], True)}, {2 if x[1] == 'dot2h' else 4})")
+        return d if self.is_vec(x) else f"int({d})"
 
     def tdot(self, x):
         """A nest's dot-product term summed over the inner trips, from
@@ -2002,7 +2065,7 @@ class _Lower:
             if fin is None:
                 return None
             entries = ", ".join(self.entry(n) for n in nodes)
-            return self._leaf(f"_shift2([{entries}], {self.w(fin)})", "w")
+            return self._leaf(f"_prev2([{entries}], {self.w(fin)})", "w")
         if k == "isum":
             return self._fam_isum([n[1] for n in nodes])
         return None
@@ -2427,8 +2490,10 @@ def _lower_body(t, groups):
                 f"{size}, mbytes)")
         stores.append((size, base, st, value, "n"))
         srecs.append(f"({pos}, {lo}, {hi}, {base}, {st}, {size})")
-    lrecs = [lw.load_rec(node, pos) for node, pos in
-             sorted(t["load_pos"].items(), key=lambda kv: kv[1])]
+    # The rows of one 2-D load group share one record.
+    lrecs = list(dict.fromkeys(
+        lw.load_rec(node, pos) for node, pos in
+        sorted(t["load_pos"].items(), key=lambda kv: kv[1])))
     _lower_guards(lw, t["guards"])
     slot_ids = {key: i for i, key in enumerate(
         sorted({key for key, _ in t["slots"]} | set(t["sloads"]),
@@ -2449,16 +2514,8 @@ def _lower_body(t, groups):
     for r, value in regs:
         lw.line(f"regs[{r}] = {value}")
     T = lw.trip() if t["nest"] is not None else None
-    if t.get("unit"):
-        # A rerolled run: every unit commits its own cells.
-        incs = [lw.const(tuple(c[k] for _, c in t["cells"]))
-                for k in range(4)]
-        lw.line(f"qk = [a + b * T for a, b in zip({incs[0]}, {incs[1]})]")
-        lw.line(f"qc = [a + b * T for a, b in zip({incs[2]}, {incs[3]})]")
-        lw.line("for x, a, b in zip(cells, qk * n, qc * n):")
-        lw.line("    x[0] += a")
-        lw.line("    x[1] += b")
-    else:
+    if not t.get("unit"):
+        # A rerolled run's wrapper commits every unit's own cells.
         for off, (kc, kt, cc, ct) in t["cells"]:
             lw.line(f"x = cells[{off}]; x[0] += {_lin(kc, kt, T)} * n; "
                     f"x[1] += {_lin(cc, ct, T)} * n")
@@ -2578,8 +2635,13 @@ class _Kernel:
         self.br_cost = t["costs"][-1]
         self.nest = t["nest"] is not None
         # SPRs whose ready time a window sets, and the hardware loop a
-        # nest's inner level runs: (loop set, body start, end, count).
+        # nest's inner level runs: (loop set, body start, end, count),
+        # start and end as offsets from the body's first instruction
+        # (the kernel is shared by every site of its shape).
         self.sprs = [k for k, occ in t["spr"].items() if occ]
+        # (offset, [count, count per trip, cycles, cycles per trip]) of
+        # each instruction: a rerolled run's wrapper commits them.
+        self.cells = t["cells"]
         self.hw = t["hwloop"]
         groups = _load_groups(t)
         self.cond, self.source = None, ""
@@ -2713,14 +2775,14 @@ def _make_hw_wrapper(cpu, idx, plan):
     return wrapper
 
 
-def _hw_tail(loop):
+def _hw_tail(loop, at=0):
     """``(base, state)``: the hardware-loop registers the interpreter
-    leaves after the last trip of ``loop`` (loop set, body start, end,
-    count), or ``(0, None)``."""
+    leaves after the last trip of ``loop`` (loop set, body start and end
+    as offsets from ``at``, count), or ``(0, None)``."""
     if loop is None:
         return 0, None
     lp, bs, be, count = loop
-    return lp * 4, [0, bs, be, count - max(count, 1)]
+    return lp * 4, [0, at + bs, at + be, count - max(count, 1)]
 
 
 def _make_br_wrapper(cpu, idx, plan):
@@ -2732,7 +2794,7 @@ def _make_br_wrapper(cpu, idx, plan):
     br_cost, nest = kernel.br_cost, kernel.nest
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
     sprs_set = kernel.sprs
-    hw_base, hw_tail = _hw_tail(kernel.hw)
+    hw_base, hw_tail = _hw_tail(kernel.hw, bs)
     setups = {i for i in range(bs, be) if cpu.program[i].mnemonic in
               ("lp.setup", "lp.setupi")}
     cells = cpu._stats[bs:be + 1]
@@ -2848,7 +2910,16 @@ def _make_run_wrapper(cpu, idx, plan):
     n, T, end = plan["n"], plan["T"], plan["end"]
     sc, ss = plan["sc"], plan["ss"]
     regs, mem, sprs = cpu.regs, cpu.memory.words, cpu.sprs
-    cells = cpu._stats[idx:idx + n * plan["unit"]]
+    unit = plan["unit"]
+    cells = cpu._stats[idx:idx + n * unit]
+    # Every unit's cells, grouped by their [count, cycles] increment:
+    # constant increments commit fastest.
+    groups = {}
+    for off, (kc, kt, cc, ct) in plan["kernel"].cells:
+        groups.setdefault((kc + kt * T, cc + ct * T), []).append(off)
+    commits = [(a, b, [cells[u * unit + off] for u in range(n)
+                       for off in offs])
+               for (a, b), offs in groups.items()]
     clk, ready = cpu.clk, cpu._spr_ready
     xi = cpu._xinstret
     xlimit = cpu._xlimit
@@ -2866,6 +2937,10 @@ def _make_run_wrapper(cpu, idx, plan):
             tstats["bails"] += 1
             _BAILS.inc()
             return fallback()
+        for a, b, group in commits:
+            for x in group:
+                x[0] += a
+                x[1] += b
         hw[hw_base:hw_base + 4] = hw_tail
         xi[0] -= 1  # the dispatch counted one
         tstats["vector_loops"] += 1
@@ -2959,98 +3034,204 @@ def _lower_block(shape):
     """Source and constants of ``make(...)``, the factory of one block
     shape's compiled stepper.
 
-    ``shape`` is ``(mnemonic, rd, rs1, rs2, cost)`` per instruction.
-    Registers live in locals and are written back at the end; memory, the
-    SPRs and their ready times are written in program order, as the
-    closures write them.  An out-of-range access (an ``IndexError`` from
-    the word list) commits every earlier instruction's registers, cells
-    and cycles, then raises the interpreter's ``MemoryError32`` through
+    ``shape`` is ``(mnemonic, rd, rs1, rs2, cost)`` per instruction.  An
+    ``lp.setupi`` entry (``rd`` its loop set, ``rs1`` its count ``T``)
+    makes the rest of the shape a short hardware loop, unrolled ``T``
+    times.  Registers live in locals and are written back at the end;
+    memory, the SPRs and their ready times are written in program order,
+    as the closures write them.
+
+    A value the block computes from its per-site constants alone (a
+    ``lui``/``addi`` pair, a post-incremented pointer it set, the address
+    of an access through one) is folded: ``derive`` computes it once per
+    site, and such an access indexes its word directly.  The block
+    checks at entry that every folded access is in range, else steps on
+    the closures.  An out-of-range access through any other address (an
+    ``IndexError`` from the word list) commits every earlier
+    instruction's registers, cells and cycles and the hardware-loop
+    registers, then raises the interpreter's ``MemoryError32`` through
     ``fault``."""
     body, loaded, written, stalls = [], [], {}, []
-    ns = {"_pla_scalar": _pla_scalar, "_dot2h": _dot2h, "_dot4b": _dot4b,
+    ns = {"_pla_scalar": _pla_scalar, "_dot4b": _dot4b,
           "_TANH_M": _TANH_M, "_TANH_Q": _TANH_Q, "_SIG_M": _SIG_M,
           "_SIG_Q": _SIG_Q}
-    nconst = [0]
+    # The executed order of the static instructions: the loop body
+    # (everything after an ``lp.setupi``) T times.
+    setup = next((j for j, entry in enumerate(shape)
+                  if entry[0] == "lp.setupi"), None)
+    order = list(range(len(shape)))
+    if setup is not None:
+        order += order[setup + 1:] * (shape[setup][2] - 1)
     prefix = [0]
+    for j in order:
+        prefix.append(prefix[-1] + shape[j][4])
+    # Each static instruction's first per-site constant.
+    cbase = [0]
     for entry in shape:
-        prefix.append(prefix[-1] + entry[4])
+        cbase.append(cbase[-1] + (0 if entry[0] == "lp.setupi" else
+                                  _NCONSTS[_BLOCK_KINDS[entry[0]][1]]))
+    nconst = [0]
+    spr_at = {}  # SPR -> the position of its last load so far
+    defs, words = [], []  # derived constants; folded word indices
+    val, held = {}, {}    # register -> its folded value; the one x<r> holds
+    pos = [0]
+
+    def folded(e):
+        return e[0] in "cd"  # a per-site or derived constant
+
+    def derive(expr):
+        defs.append(f"d{len(defs)} = {expr}")
+        return f"d{len(defs) - 1}"
 
     def get(r):
+        if r in val:
+            return val[r]
         if r not in written and r not in loaded:
             loaded.append(r)
         return f"x{r}"
 
-    def put(r, expr, j):
+    def put(r, expr):
         """Write register ``r`` (x0 included: a post-increment base)."""
+        val.pop(r, None)
+        held.pop(r, None)
         body.append(f"x{r} = {expr}")
-        written.setdefault(r, j)
+        written.setdefault(r, pos[0])
+
+    def fold(r, name):
+        val[r] = name
+        written.setdefault(r, pos[0])
 
     def const():
         nconst[0] += 1
         return f"c{nconst[0] - 1}"
 
-    def addr(rs1, postinc):
-        body.append(f"a = {get(rs1)}" if postinc
-                    else f"a = ({get(rs1)} + {const()}) & 4294967295")
+    def may_fault():
+        """Mark a position whose access may fault: the folded registers
+        written so far get their locals, which the handler commits."""
+        for r, name in val.items():
+            if held.get(r) != name:
+                body.append(f"x{r} = {name}")
+                held[r] = name
+        body.append(f"k = {pos[0]}")
 
-    for j, (m, rd, rs1, rs2, _cost) in enumerate(shape):
+    def access(rs1, postinc, size):
+        """Address an access: ``(word, shift)`` of a folded one, else
+        None after setting ``a``."""
+        base = get(rs1)
+        if not folded(base):
+            may_fault()
+            body.append(f"a = {base}" if postinc
+                        else f"a = ({base} + {const()}) & 4294967295")
+            return None
+        a = base if postinc else \
+            derive(f"({base} + {const()}) & 4294967295")
+        w = derive(f"{a} >> 2")
+        words.append(w)
+        if postinc:
+            fold(rs1, derive(f"({a} + {const()}) & 4294967295"))
+        sh = None if size == 4 else \
+            derive(f"({a} & {2 if size == 2 else 3}) << 3")
+        return w, sh
+
+    def post(rs1, postinc, got):
+        if postinc and got is None:
+            put(rs1, f"(a + {const()}) & 4294967295")
+
+    for p, j in enumerate(order):
+        m, rd, rs1, rs2, _cost = shape[j]
+        if m == "lp.setupi":
+            continue  # its registers are written at the end or a fault
+        nconst[0] = cbase[j]
+        pos[0] = p
         spec = SPECS[m]
         wd = rd or 32  # the closures' write sink for x0
         if m.startswith("pl.sdotsp."):
             k = int(m[-1])
-            dot = "_dot4b" if ".b." in m else "_dot2h"
-            body += [f"k = {j}", f"e = ready[{k}] - t - {prefix[j]} - st",
-                     "if e < 0: e = 0"]
+            # A read two or more cycles after this block loaded the SPR
+            # cannot stall (later stalls only delay the read further).
+            wait = k not in spr_at or prefix[p] - prefix[spr_at[k]] < 2
+            spr_at[k] = p
+            if wait:
+                body += [f"e = ready[{k}] - t - {prefix[p]} - st",
+                         "if e < 0: e = 0"]
             acc = get(rd)
+            if not rs2:
+                dot = acc
+            elif ".b." in m:
+                dot = f"({acc} + _dot4b(sprs[{k}], {get(rs2)})) & 4294967295"
+            else:
+                y = get(rs2)
+                body.append(f"h = sprs[{k}]")
+                dot = (f"({acc} + (((h & 65535) ^ 32768) - 32768) * "
+                       f"((({y} & 65535) ^ 32768) - 32768) + "
+                       f"(((h >> 16) ^ 32768) - 32768) * "
+                       f"((({y} >> 16) ^ 32768) - 32768)) & 4294967295")
             # rd is written before the load, as the closure writes it,
             # so it stays written when the load faults.
-            put(wd, f"({acc} + {dot}(sprs[{k}], {get(rs2)})) & 4294967295"
-                if rs2 else acc, j - 1)
-            body += [f"a = {get(rs1)}", f"sprs[{k}] = mem[a >> 2]"]
-            put(rs1, "(a + 4) & 4294967295", j)
-            body += [f"ready[{k}] = t + {prefix[j]} + st + e + 2",
-                     "st += e", f"w{j} = e"]
-            stalls.append(j)
-        elif spec.is_load:
-            body.append(f"k = {j}")
-            addr(rs1, spec.postinc)
-            if spec.size == 4:
-                put(wd, "mem[a >> 2]", j)
+            pos[0] = p - 1
+            put(wd, dot)
+            pos[0] = p
+            base = get(rs1)
+            if folded(base):
+                w = derive(f"{base} >> 2")
+                words.append(w)
+                body.append(f"sprs[{k}] = mem[{w}]")
+                fold(rs1, derive(f"({base} + 4) & 4294967295"))
             else:
-                sh, mask = ("(a & 2) << 3", 65535) if spec.size == 2 else \
-                    ("(a & 3) << 3", 255)
-                body.append(f"v = (mem[a >> 2] >> ({sh})) & {mask}")
+                may_fault()
+                body += [f"a = {base}", f"sprs[{k}] = mem[a >> 2]"]
+                put(rs1, "(a + 4) & 4294967295")
+            if wait:
+                body += [f"ready[{k}] = t + {prefix[p]} + st + e + 2",
+                         "st += e", f"w{p} = e"]
+                stalls.append((p, j))
+            else:
+                body.append(f"ready[{k}] = t + {prefix[p] + 2} + st")
+        elif spec.is_load:
+            got = access(rs1, spec.postinc, spec.size)
+            word, sh = (f"mem[{got[0]}]", got[1]) if got else \
+                ("mem[a >> 2]", "(a & 2) << 3" if spec.size == 2
+                 else "(a & 3) << 3")
+            if spec.size == 4:
+                put(wd, word)
+            else:
+                mask = 65535 if spec.size == 2 else 255
+                body.append(f"v = ({word} >> ({sh})) & {mask}")
                 top = (mask + 1) >> 1
                 put(wd, f"((v ^ {top}) - {top}) & 4294967295"
-                    if spec.signed else "v", j)
-            if spec.postinc:
-                put(rs1, f"(a + {const()}) & 4294967295", j)
+                    if spec.signed else "v")
+            post(rs1, spec.postinc, got)
         elif spec.is_store:
-            body.append(f"k = {j}")
-            addr(rs1, spec.postinc)
+            got = access(rs1, spec.postinc, spec.size)
             v = get(rs2) if rs2 else "0"
             if spec.size == 4:
-                body.append(f"mem[a >> 2] = {v}")
+                body.append(f"mem[{got[0] if got else 'a >> 2'}] = {v}")
             else:
-                sh, mask = ("(a & 2) << 3", 65535) if spec.size == 2 else \
-                    ("(a & 3) << 3", 255)
-                body += [f"q = a >> 2", f"s = {sh}",
-                         f"mem[q] = (mem[q] & ~({mask} << s)) | "
-                         f"(({v} & {mask}) << s)"]
-            if spec.postinc:
-                put(rs1, f"(a + {const()}) & 4294967295", j)
+                mask = 65535 if spec.size == 2 else 255
+                if got:
+                    q, sh = got
+                    keep = derive(f"~({mask} << {sh})")
+                    body.append(f"mem[{q}] = (mem[{q}] & {keep}) | "
+                                f"(({v} & {mask}) << {sh})")
+                else:
+                    sh = "(a & 2) << 3" if spec.size == 2 else \
+                        "(a & 3) << 3"
+                    body += ["q = a >> 2", f"s = {sh}",
+                             f"mem[q] = (mem[q] & ~({mask} << s)) | "
+                             f"(({v} & {mask}) << s)"]
+            post(rs1, spec.postinc, got)
         elif m in ("lui", "auipc"):
-            put(wd, const(), j)
+            fold(wd, const())
         elif m in ("pl.tanh", "pl.sig"):
             tbl = "_SIG_M, _SIG_Q, True" if m == "pl.sig" else \
                 "_TANH_M, _TANH_Q, False"
             put(wd, f"_pla_scalar(({get(rs1)} ^ 2147483648) - 2147483648, "
-                f"{tbl}) & 4294967295", j)
+                f"{tbl}) & 4294967295")
         elif m == "p.clip":
             lo, hi = const(), const()
             body.append(f"v = ({get(rs1)} ^ 2147483648) - 2147483648")
             put(wd, f"({lo} if v < {lo} else {hi} if v > {hi} else v) "
-                "& 4294967295", j)
+                "& 4294967295")
         elif m in ALU_OPS:
             form = _INLINE.get(m, "{b}")
             a = get(rs1)
@@ -3059,53 +3240,89 @@ def _lower_block(shape):
                 None if m in _NO_IMM else const()
             if m in _INLINE:
                 expr = form.format(a=a, b=b, i=third, d=third)
+                if all(x is None or folded(x) for x in (a, b, third)):
+                    fold(wd, derive(expr))
+                    continue
             else:
                 ns[f"_op{j}"] = ALU_OPS[m]
                 expr = f"_op{j}({a}, {b}, {third})"
-            put(wd, expr, j)
-    n = len(shape)
-    ns["_Q"] = tuple(entry[4] for entry in shape)
+            put(wd, expr)
+    n = len(order)
+    costs = tuple(entry[4] for entry in shape)
     ns["_P"] = tuple(prefix)
-    head = ["def blk():", "    if hw[0] or hw[4]:",
-            # A stale active loop (a branch out of its body) is stepped
-            # on the closures.
-            "        return first()"]
-    if nconst[0]:
-        # One tuple per site, not one closure cell per constant: cells
-        # are objects the garbage collector walks at every Cpu build.
-        head.append(f"    {', '.join(f'c{i}' for i in range(nconst[0]))},"
-                    " = consts")
+    head = ["def blk():"]
+    commit = [f"regs[{r}] = {val.get(r, f'x{r}')}" for r in written]
+    if setup is None:
+        ns["_Q"] = costs
+        cells_fix = ["for x, q in zip(cells[:k], _Q):", "    x[0] += 1",
+                     "    x[1] += q"]
+        cells_all = ["for x, q in zip(cells, _Q):", "    x[0] += 1",
+                     "    x[1] += q"]
+        hw_fix, hw_all = [], []
+    else:
+        T, base = shape[setup][2], shape[setup][1] * 4
+        L = len(shape) - setup - 1
+        ns["_Q"], ns["_O"] = costs, tuple(order)
+        ns["_C"] = tuple(1 if j <= setup else T for j in range(len(shape)))
+        ns["_CQ"] = tuple(c * q for c, q in zip(ns["_C"], costs))
+        cells_fix = ["for j in _O[:k]:", "    x = cells[j]", "    x[0] += 1",
+                     "    x[1] += _Q[j]"]
+        cells_all = ["for x, c, q in zip(cells, _C, _CQ):", "    x[0] += c",
+                     "    x[1] += q"]
+        # The loop registers as the interpreter leaves them: active with
+        # the trips left during the loop, spent after its last trip.
+        loop = f"hw[{base}:{base + 4}] = "
+        hw_fix = [f"if k > {setup}: {loop}[1, end - {L}, end - 1, "
+                  f"{T} - (k - {setup + 1}) // {L}]"]
+        hw_all = [f"{loop}[0, end - {L}, end - 1, 0]"]
+    fix = []
+    if any(ln.startswith("k = ") for ln in body):
+        # The handler commits what the closures would have committed
+        # before the faulting access.
+        fix = [f"regs[{r}] = x{r}" if r in loaded else
+               f"if k > {p}: regs[{r}] = x{r}" for r, p in written.items()]
+        fix += cells_fix
+        fix += [f"if k > {p}: cells[{j}][1] += w{p}" for p, j in stalls]
+        fix += hw_fix
+        fix += ["clk[0] = t + _P[k]" + (" + st" if stalls else ""),
+                "fault(k)" if setup is None else "fault(_O[k])"]
+    tail = commit + cells_all + hw_all
+    tail += [f"cells[{j}][1] += w{p}" for p, j in stalls]
+    tail += [f"clk[0] = t + {prefix[-1]}" + (" + st" if stalls else ""),
+             f"xi[0] += {n - 1}", "return end"]
+    # The per-site values the stepper reads: one tuple per site, not one
+    # closure cell per value (cells are objects the garbage collector
+    # walks at every Cpu build).
+    used = sorted(set(re.findall(r"\b[cd]\d+\b", "\n".join(
+        body + fix + tail))), key=lambda x: (x[0], int(x[1:])))
+    check = "hw[0] or hw[4]"
+    if words:
+        used.append("dmax")
+        defs.append(f"dmax = max(({''.join(f'{w}, ' for w in words)}))")
+        check += " or dmax >= len(mem)"
+    if used:
+        head.append(f"    {', '.join(used)}, = site")
+    # A stale active loop (a branch out of its body), or a folded
+    # access out of range, is stepped on the closures.
+    head += [f"    if {check}:", "        return first()"]
     head += [f"    x{r} = regs[{r}]" for r in loaded]
     head.append("    t = clk[0]")
     if stalls:
         head.append("    st = 0")
-    commit = [f"regs[{r}] = x{r}" for r in written]
-    if any(SPECS[entry[0]].is_load or SPECS[entry[0]].is_store
-           for entry in shape):
-        # The handler commits what the closures would have committed
-        # before the faulting access.
-        fix = [f"regs[{r}] = x{r}" if r in loaded else
-               f"if k > {j}: regs[{r}] = x{r}" for r, j in written.items()]
-        fix += ["for x, q in zip(cells[:k], _Q):", "    x[0] += 1",
-                "    x[1] += q"]
-        fix += [f"if k > {j}: cells[{j}][1] += w{j}" for j in stalls]
-        fix += ["clk[0] = t + _P[k]" + (" + st" if stalls else ""),
-                "fault(k)"]
+    if fix:
         head.append("    try:")
         head += [f"        {ln}" for ln in body]
         head.append("    except IndexError:")
         head += [f"        {ln}" for ln in fix]
     else:
         head += [f"    {ln}" for ln in body]
-    tail = commit + ["for x, q in zip(cells, _Q):", "    x[0] += 1",
-                     "    x[1] += q"]
-    tail += [f"cells[{j}][1] += w{j}" for j in stalls]
-    tail += [f"clk[0] = t + {prefix[-1]}" + (" + st" if stalls else ""),
-             f"xi[0] += {n - 1}", "return end"]
     head += [f"    {ln}" for ln in tail]
     args = ["regs", "mem", "sprs", "ready", "clk", "cells", "hw", "xi",
             "first", "fault", "end", "consts"]
-    src = f"def make({', '.join(args)}):\n" + \
+    src = "def derive(" + ", ".join(f"c{i}" for i in range(cbase[-1])) + \
+        "):\n" + "".join(f"    {ln}\n" for ln in defs) + \
+        f"    return ({''.join(f'{u}, ' for u in used)})\n\n\n" + \
+        f"def make({', '.join(args)}):\n    site = derive(*consts)\n" + \
         "".join(f"    {ln}\n" for ln in head) + "    return blk\n"
     return src, ns
 
@@ -3116,12 +3333,16 @@ _BLOCKS = {}
 
 
 def _block_plan(program, wait, lo, hi):
-    """The compiled-block plan of instructions ``lo .. hi - 1``."""
+    """The compiled-block plan of instructions ``lo .. hi - 1`` (after an
+    ``lp.setupi``, the body of its short hardware loop)."""
     shape, consts = [], []
     kinds = _BLOCK_KINDS
     for i in range(lo, hi):
         ins = program[i]
         m, rd = ins.mnemonic, ins.rd
+        if m == "lp.setupi":
+            shape.append((m, ins.loop, ins.imm, 0, 1))
+            continue
         ck, kk = kinds[m]
         if ck == 0:
             cost = 1
@@ -3362,6 +3583,7 @@ def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
         extra += [a, b]
         walk._tick(cond_term, 1)  # branch base (taken penalty at commit)
     res, writes, slots = _finalize(walk, extra)
+    hw = walk.hw_loop
     cells = {}
     for i, kc, kt, cc, ct in walk.steps:
         cell = cells.setdefault(i - bs, [0, 0, 0, 0])
@@ -3373,7 +3595,7 @@ def _try_loop_template(program, wait, bs, be, cond_term=None, nest=False,
          "load_pos": walk.load_pos, "cond": cond, "spr_tail": {},
          "steps": walk.steps, "cells": sorted(cells.items()),
          "guards": walk.guards, "nest": walk.nest, "vary": (),
-         "hwloop": walk.hw_loop,
+         "hwloop": hw and (hw[0], hw[1] - bs, hw[2] - bs, hw[3]),
          "spr_pos": walk.spr_pos, "spr_ins": walk.spr_ins,
          "spr_first": []}
     # Each SPR's first access (its only dynamic stall, on the window's
@@ -3489,7 +3711,33 @@ def analyze_program(program, wait_states=0):
                         _TURBO_EVENTS.inc(event="compile_fuse")
                     lo = i + 1
     _plan_runs(program, wait_states, plans)
+    for idx, (kind, plan) in list(plans.items()):
+        if kind == "fuse":
+            be = _short_loop(program, plans, idx, plan["end"])
+            if be is not None:
+                plans[idx] = ("fuse", _block_plan(
+                    program, wait_states, idx, be + 1))
     return plans
+
+
+def _short_loop(program, plans, lo, s):
+    """The body end of the hardware loop set up at ``s``, right after
+    the compiled block from ``lo``, when that block may hold the loop
+    unrolled: an ``lp.setupi`` whose body is block instructions and
+    whose trips are too few for a window of their own."""
+    ins = program[s]
+    if ins.mnemonic != "lp.setupi" or ins.imm < 1:
+        return None
+    be = (ins.addr + ins.imm2) // 4
+    if not s < be < len(program) or \
+            s - lo + 1 + ins.imm * (be - s) > UNROLL_BLOCK or \
+            any(program[i].mnemonic not in _BLOCK_KINDS
+                for i in range(s + 1, be + 1)):
+        return None
+    loop = plans.get(s)
+    if loop is not None and loop[1]["kernel"].pays(ins.imm):
+        return None
+    return be
 
 
 def build_turbo_code(cpu):

@@ -91,14 +91,16 @@ def operational_intensity(network: Network,
 
 
 _CALIBRATION: dict | None = None
+#: Seconds of timed runs behind each roof.
+_MIN_TIME = 0.2
 
 
-def _best_time(fn, repeats: int, min_time: float, clock) -> float:
+def _best_time(fn, repeats: int, clock) -> float:
     """The fastest of repeated timed calls of ``fn``: at least ``repeats``
-    of them, and more until they span ``min_time`` seconds, so a moment
+    of them, and more until they span ``_MIN_TIME`` seconds, so a moment
     when the host is busy cannot set a roof."""
     best, spent, calls = float("inf"), 0.0, 0
-    while calls < repeats or spent < min_time:
+    while calls < repeats or spent < _MIN_TIME:
         t0 = clock()
         fn()
         took = clock() - t0
@@ -107,7 +109,7 @@ def _best_time(fn, repeats: int, min_time: float, clock) -> float:
 
 
 def measure_roofs(size: int = 384, repeats: int = 3, copy_mb: int = 32,
-                  min_time: float = 0.2, clock=time.perf_counter) -> dict:
+                  clock=time.perf_counter) -> dict:
     """Measure this host's compute and bandwidth roofs (uncached).
 
     * ``peak_flops`` — float64 GEMM on a ``size x size`` problem, the
@@ -115,7 +117,7 @@ def measure_roofs(size: int = 384, repeats: int = 3, copy_mb: int = 32,
     * ``bandwidth`` — bytes/s of a large out-of-cache array copy.
 
     Each roof is the fastest of timed runs spanning at least
-    ``min_time`` seconds (``clock`` times them).  Returns
+    ``_MIN_TIME`` seconds (``clock`` times them).  Returns
     ``{"peak_flops", "bandwidth_bytes_s", "ridge_oi"}`` where
     ``ridge_oi`` is the intensity at which the two roofs intersect.
     """
@@ -124,15 +126,14 @@ def measure_roofs(size: int = 384, repeats: int = 3, copy_mb: int = 32,
     b = rng.standard_normal((size, size))
     out = np.empty((size, size))
     np.matmul(a, b, out=out)  # warm-up
-    best = _best_time(lambda: np.matmul(a, b, out=out), repeats, min_time,
-                      clock)
+    best = _best_time(lambda: np.matmul(a, b, out=out), repeats, clock)
     peak = 2 * size ** 3 / best if best > 0 else 0.0
 
     n = copy_mb * (1 << 20) // 8
     src = rng.standard_normal(n)
     dst = np.empty(n)
     np.copyto(dst, src)  # warm-up
-    best = _best_time(lambda: np.copyto(dst, src), repeats, min_time, clock)
+    best = _best_time(lambda: np.copyto(dst, src), repeats, clock)
     # One read + one write stream.
     bandwidth = 2 * n * 8 / best if best > 0 else 0.0
     return {

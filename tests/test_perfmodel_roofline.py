@@ -150,8 +150,7 @@ class TestReport:
             if ticks[0] % 2 == 0:  # the end of a timed run
                 ticks[1] += slow if ticks[0] <= 8 else fast
             return ticks[1]
-        roofs = measure_roofs(size=16, copy_mb=1, min_time=0.2,
-                              clock=clock)
+        roofs = measure_roofs(size=16, copy_mb=1, clock=clock)
         assert roofs["peak_flops"] == pytest.approx(2 * 16 ** 3 / fast)
         assert roofs["bandwidth_bytes_s"] == pytest.approx(
             2 * (1 << 20) / fast)

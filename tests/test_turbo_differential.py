@@ -1,7 +1,8 @@
 """Turbo engine vs. interpreter over the full RRM suite.
 
 The tentpole guarantee: ``Cpu(engine="turbo")`` is *bit-exact* (final
-registers, every memory word, SPR state) and *cycle-exact* (total cycles
+registers, every memory word, SPR values and ready times, hardware-loop
+registers) and *cycle-exact* (total cycles
 AND every per-static-instruction ``[count, cycles]`` histogram cell)
 against the closure interpreter, across all 10 suite networks at every
 optimization level a-f, at scale 8 and at paper scale (scale 1).  Any
@@ -29,6 +30,8 @@ def _engine_state(network, params, xs, level, engine):
         "cycles": cpu.cycles,
         "regs": [cpu.reg(r) for r in range(32)],
         "sprs": list(cpu.sprs),
+        "spr_ready": list(cpu._spr_ready),
+        "hw": list(cpu._hw),
         "memory": tuple(cpu.memory.words),
         "stats": [tuple(cell) for cell in cpu._stats],
         "bails": cpu.turbo_stats["bails"],  # always 0 on the interpreter

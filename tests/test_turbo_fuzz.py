@@ -30,7 +30,10 @@ generated scalar code: every ALU op, loads and stores of every size
 distances from the load that fills their SPR, and ``csrr`` of the cycle
 and retired-instruction counters in mid-block.  An out-of-range access
 at a random instruction of such a block must fault like the
-interpreter, with the same committed state.
+interpreter, with the same committed state.  Some blocks end in a
+hardware loop too short for a window, which the compiled block holds
+unrolled; an access of its body may fault at a random trip, leaving
+the hardware-loop registers as the interpreter leaves them.
 """
 
 import numpy as np
@@ -441,6 +444,7 @@ def _total_state(cpu):
     return {"regs": list(cpu.regs), "sprs": list(cpu.sprs),
             "ready": list(cpu._spr_ready), "memory": list(cpu.memory.words),
             "cycles": cpu.cycles, "instret": cpu.instret,
+            "hw": list(cpu._hw),
             "stats": [list(cell) for cell in cpu._stats]}
 
 
@@ -481,13 +485,92 @@ def test_blocks_match_interpreter(chunk):
 
 def test_out_of_range_access_faults_like_the_interpreter():
     # The k-th instruction of a compiled block faults: the same
-    # MemoryError32 (its pc), and everything before it committed.
+    # MemoryError32 (its pc), and everything before it committed.  In
+    # odd cases the block sets the faulting pointer s9 itself, so the
+    # access is folded and the block steps on the closures.
     for case in range(60):
         rng = np.random.default_rng(9500 + case)
         gen = _BlockGen(rng)
         block = gen.block()
         k = int(rng.integers(0, len(block) + 1))
+        if case % 2:
+            block.insert(0, "lui s9, 32")
+            k += 1
         text = gen.program_text([block], fault_at=k)
+        image = rng.integers(0, 1 << 16, 20000)
+        (ref, ref_fault, _), (tur, tur_fault, _) = \
+            _run_block_program(text, image)
+        assert ref_fault is not None and tur_fault == ref_fault, \
+            f"case {case}\n{text}"
+        for key in ref:
+            assert tur[key] == ref[key], f"case {case}: {key}\n{text}"
+
+
+def _short_loop_block(gen, fault_trip=None):
+    """A random block ending in a short hardware loop (1-7 trips) of
+    random block instructions (no CSR, which keeps a loop on its
+    closures); with ``fault_trip``, an access of the body leaves memory
+    at that trip."""
+    rng = gen.rng
+    body = [line for line in (gen.instr() for _ in range(
+        int(rng.integers(1, 16)))) if not line.startswith("csrr")]
+    trips = int(rng.integers(1, 8))
+    head = []
+    if fault_trip is not None:
+        head = [f"li s10, {(1 << 16) - 4 * fault_trip}"]
+        body.insert(int(rng.integers(0, len(body) + 1)), "p.lw t1, 4(s10!)")
+    # a plain load may not end a hardware loop
+    body.append("xor t0, t0, a3")
+    if fault_trip is not None and rng.random() < 0.3:
+        body[body.index("p.lw t1, 4(s10!)")] = "xor t1, t1, a4"
+        body.append("p.sw t1, 4(s10!)")  # the body's last instruction
+    return head + gen.block() + [
+        f"lp.setupi {int(rng.integers(0, 2))}, {trips}, L{trips}"] + \
+        body + [f"L{trips}:"], trips
+
+
+def _holds_its_loop(program):
+    """Does a compiled block hold the program's hardware loop?"""
+    setup = next(i for i in range(len(program))
+                 if program[i].mnemonic == "lp.setupi")
+    return any(kind == "fuse" and idx < setup < plan["end"]
+               for idx, (kind, plan) in
+               turbo.analyze_program(program).items())
+
+
+def test_blocks_with_short_loops_match_interpreter():
+    unrolled = 0
+    for case in range(120):
+        rng = np.random.default_rng(9700 + case)
+        gen = _BlockGen(rng)
+        block, _trips = _short_loop_block(gen)
+        text = gen.program_text([block, gen.block()])
+        image = rng.integers(0, 1 << 16, 20000)
+        (ref, ref_fault, _), (tur, _f, _c) = _run_block_program(text, image)
+        assert ref_fault is None, f"case {case}: {ref_fault}\n{text}"
+        for key in ref:
+            assert tur[key] == ref[key], f"case {case}: {key}\n{text}"
+        unrolled += _holds_its_loop(assemble(text))
+    assert unrolled >= 100
+
+
+def test_fault_in_an_unrolled_loop_like_the_interpreter():
+    # The access faults at a random trip of the unrolled loop: the same
+    # MemoryError32, the earlier trips and the loop registers (active,
+    # the trips left) committed as the interpreter commits them.  In
+    # odd cases the block sets the faulting pointer itself, so the
+    # access is folded and the block steps on the closures.
+    for case in range(60):
+        rng = np.random.default_rng(9800 + case)
+        gen = _BlockGen(rng)
+        trips, text = 0, ""
+        while trips < 2 or not _holds_its_loop(assemble(text)):
+            fault_trip = int(rng.integers(0, 7))
+            block, trips = _short_loop_block(gen, fault_trip)
+            fault_trip = min(fault_trip, trips - 1)
+            block[0] = f"li s10, {(1 << 16) - 4 * fault_trip}"
+            blocks = [block] if case % 2 else [[block.pop(0)], block]
+            text = gen.program_text(blocks)
         image = rng.integers(0, 1 << 16, 20000)
         (ref, ref_fault, _), (tur, tur_fault, _) = \
             _run_block_program(text, image)

@@ -372,6 +372,29 @@ kx:
 """
 
 
+#: Four rows of 16 trips summing the halfwords an index table points
+#: at: the inner load's address is not affine in the trip.
+INDEXED = """
+    li s0, 0x2000
+    li s3, 0x8000
+    li s1, 0x100
+    li t2, 0
+    li t3, 4
+outer:
+    li s4, 0
+    lp.setupi 0, 16, end
+    p.lw t5, 4(s0!)
+    add t6, s3, t5
+    lh t4, 0(t6)
+    add s4, s4, t4
+end:
+    p.sw s4, 4(s1!)
+    addi t2, t2, 1
+    bltu t2, t3, outer
+    ebreak
+"""
+
+
 class TestNests:
     def test_level_a_matvec_is_one_nest_window(self):
         ref, tur = _run_both(matvec_a(64, 64))
@@ -450,6 +473,25 @@ class TestNests:
         assert tur.turbo_stats["bails"] > 0
         assert tur.turbo_stats["nest_loops"] == 0
 
+    def test_far_apart_indexed_inner_loads(self):
+        # The inner load's address is an index read from memory, so the
+        # window gathers an (n, T) address array; the indices spread
+        # over 16 KB, so it is read word by word.
+        program = assemble(INDEXED)
+        indices = 4 * np.random.default_rng(5).integers(0, 4096, 4 * 16)
+        cpus = []
+        for engine in ("interp", "turbo"):
+            memory = Memory(1 << 17)
+            memory.store_words_array(0x2000, indices)
+            memory.store_halfwords(0x8000, np.arange(8192) - 4096)
+            cpu = Cpu(program, memory, engine=engine)
+            cpu.run()
+            cpus.append(cpu)
+        ref, tur = cpus
+        _assert_total_equivalence(ref, tur)
+        assert (tur.turbo_stats["nest_loops"],
+                tur.turbo_stats["bails"]) == (1, 0)
+
     @pytest.mark.parametrize("name", ["lee2018", "ahmed2019"])
     def test_scale1_level_a_matches_interpreter(self, name):
         # Paper scale: lee2018's conv rows are long enough to nest (at
@@ -468,6 +510,32 @@ class TestNests:
         _assert_total_equivalence(ref, tur)
         assert tur.turbo_stats["nest_loops"] > 0
         assert tur.turbo_stats["bails"] == 0
+
+
+class TestSpanCache:
+    def test_rewritten_weights_are_read_again(self, monkeypatch):
+        # A cached memory span is reused only while its words are
+        # unchanged: weights rewritten between two runs of one program
+        # change the second run as they change the interpreter's.
+        monkeypatch.setattr(turbo, "_SPANS", {})
+        monkeypatch.setattr(turbo, "_SPANS_HELD", [0])
+        program = assemble(matvec_a(64, 64))
+        rng = np.random.default_rng(11)
+        first, second = (rng.integers(-32768, 32768, 64 * 64)
+                         for _ in range(2))
+        cpus = []
+        for engine in ("interp", "turbo"):
+            memory = Memory(1 << 17)
+            memory.store_halfwords(0x1000, first)
+            memory.store_halfwords(0x8000, np.arange(64))
+            cpu = Cpu(program, memory, engine=engine)
+            cpu.run()
+            memory.store_halfwords(0x1000, second)
+            cpu.run()
+            cpus.append(cpu)
+        _assert_total_equivalence(*cpus)
+        assert turbo._SPANS  # the weights were read through the cache
+        assert cpus[1].turbo_stats["nest_loops"] == 2
 
 
 #: Four 8-trip tiles whose primes open each unit, after a short loop
@@ -586,13 +654,25 @@ class TestRuns:
                 stats["vector_iters"], stats["bails"]) == (1, 1, 12, 0)
 
 
+    def test_tile_loop_leaves_its_own_sites_loop_state(self, monkeypatch):
+        # One kernel serves the tile-loop shape wherever it sits: the
+        # hardware-loop registers each window leaves name the body of
+        # its own site, not the one that compiled the kernel.
+        monkeypatch.setattr(turbo, "_KERNELS", {})
+        for pad in (0, 3):
+            ref, tur = _run_both("nop\n" * pad + TILE_LOOP)
+            _assert_total_equivalence(ref, tur)
+            assert tur.turbo_stats["nest_loops"] == 1
+
+
 class TestFusedPrologues:
     def test_level_e_fuses_every_straight_block_outside_loops(self):
         # Every straight block of at least FUSE_MIN instructions outside
         # the hardware-loop bodies is compiled — a tile prologue too,
-        # which ends at its own loop's lp.setupi (the setup stays out);
-        # the first tile of a rerolled run keeps its block as the run's
-        # fallback.
+        # which ends at its own loop's lp.setupi (the setup stays out),
+        # or holds its loop unrolled when the loop is too short for a
+        # window (lee2018's 3-trip conv loops); the first tile of a
+        # rerolled run keeps its block as the run's fallback.
         network = next(net for net in suite(1) if net.name == "lee2018")
         program = assemble(NetworkPlan(network, "e").text)
         cfg = build_cfg(program)
@@ -607,11 +687,18 @@ class TestFusedPrologues:
         prologues = [block for block in want
                      if program[block.end].mnemonic.startswith("lp.setup")]
         assert prologues
+        unrolled = 0
         for block in prologues:
             kind, plan = plans[block.start]
             if kind == "run":
                 plan = plan["fuse"]
-            assert kind in ("fuse", "run") and plan["end"] == block.end
+            assert kind in ("fuse", "run")
+            setup = program[block.end]
+            if plan["end"] != block.end:
+                assert setup.mnemonic == "lp.setupi" and setup.imm == 3
+                assert plan["end"] == (setup.addr + setup.imm2) // 4 + 1
+                unrolled += 1
+        assert unrolled == 100
         assert any(plan[0] == "run" for plan in plans.values())
         params = quantize_params(
             init_params(network, np.random.default_rng(2020)))
