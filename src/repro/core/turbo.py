@@ -1391,19 +1391,14 @@ def _dot_v(a, b, lanes):
 
 
 def _dot_sum(a, b, lanes):
-    """Lane dot products of two inner-trip word arrays (``(n, T)`` or
-    ``(T,)``) summed over the trips: one float64 product, exact while
-    the sums stay below 2**53."""
-    dt = np.int16 if lanes == 2 else np.int8
-    A = a.astype(np.uint32).view(dt)
-    B = b.astype(np.uint32).view(dt)
-    if A.ndim < B.ndim:
-        A, B = B, A
-    if A.shape[-1] >= 1 << 21:
-        return (A.astype(np.int64) * B).sum(axis=-1)
-    A, B = A.astype(np.float64), B.astype(np.float64)
-    out = A @ B if B.ndim == 1 else np.einsum("ik,ik->i", A, B)
-    return out.astype(np.int64)
+    """Lane dot products of two inner-trip word streams, at most one of
+    them ``(n, T)`` and the other ``(T,)``, summed over the trips
+    (:func:`_dots2` of the one against the other)."""
+    if a.ndim < b.ndim:
+        a, b = b, a
+    out = _dots2(np.atleast_2d(a.astype(np.uint32)),
+                 b.astype(np.uint32)[None], lanes)[:, 0]
+    return out if a.ndim == 2 else out[0]
 
 
 def _signed_rows(raw):
@@ -1961,10 +1956,12 @@ class _Lower:
 
     def tsum(self, x):
         """A dot-product term of two inner-trip streams (say, an SPR
-        read one trip late) summed over the inner trips by one float64
+        read one trip late against an input row), at most one varying
+        with the outer loop, summed over the inner trips by one float64
         product; None for any other term."""
         if x[0] != "alu" or x[1] not in ("dot2h", "dot4b") or \
-                not (self.is_j(x[2]) and self.is_j(x[3])):
+                not (self.is_j(x[2]) and self.is_j(x[3])) or \
+                self.is_vec(x[2]) and self.is_vec(x[3]):
             return None
         d = self.tmp(f"_dot_sum({self.w(x[2], True)}, "
                      f"{self.w(x[3], True)}, {2 if x[1] == 'dot2h' else 4})")
@@ -3543,7 +3540,9 @@ def _plan_runs(program, wait, plans):
             if strides is not None and d != strides:
                 break
             strides, j = d, j + 1
-        if j - i >= 2:
+        if j - i >= VEC_MIN_ITERS:
+            # Fewer units run faster one by one: a run window's fixed
+            # cost is several unit windows'.
             _plan_run(program, wait, plans, units[i:j], strides)
         i = j
 
@@ -3711,8 +3710,11 @@ def analyze_program(program, wait_states=0):
                         _TURBO_EVENTS.inc(event="compile_fuse")
                     lo = i + 1
     _plan_runs(program, wait_states, plans)
+    # A run's later units run only after a bail: they keep their loops.
+    inside = {i for idx, (kind, plan) in plans.items() if kind == "run"
+              for i in range(idx + 1, plan["end"])}
     for idx, (kind, plan) in list(plans.items()):
-        if kind == "fuse":
+        if kind == "fuse" and idx not in inside:
             be = _short_loop(program, plans, idx, plan["end"])
             if be is not None:
                 plans[idx] = ("fuse", _block_plan(

@@ -206,9 +206,10 @@ def _events():
 #: two conv layers.
 NESTS = {"a": 31, "e": 0}
 #: Rerolled runs per level (unit kernel shapes, runs): level e's tile
-#: runs share one unit shape; lee2018's conv tiles copy the im2col
-#: buffer their own loop reads, so they never form a run.
-RUNS = {"a": (0, 0), "e": (1, 23)}
+#: runs of at least VEC_MIN_ITERS units share one unit shape; lee2018's
+#: conv tiles copy the im2col buffer their own loop reads, so they never
+#: form a run.
+RUNS = {"a": (0, 0), "e": (1, 15)}
 
 
 class TestKernelCache:
@@ -538,13 +539,13 @@ class TestSpanCache:
         assert cpus[1].turbo_stats["nest_loops"] == 2
 
 
-#: Four 8-trip tiles whose primes open each unit, after a short loop
+#: Eight 8-trip tiles whose primes open each unit, after a short loop
 #: whose last instruction loads SPR 0: the first prime stalls a cycle.
 PRIMED = "\n".join(
     ["li a0, 0x1000", "li a1, 0x1400", "li a2, 0x1800",
      "lp.setupi 1, 2, pre", "addi t5, t5, 1", "pl.sdotsp.h.0 x0, a2, x0",
      "pre:"]
-    + [line for k in range(4) for line in (
+    + [line for k in range(8) for line in (
         "pl.sdotsp.h.0 x0, a0, x0", "pl.sdotsp.h.1 x0, a1, x0",
         "li t1, 0x8000", f"lp.setupi 0, 8, end{k}", "p.lw t0, 4(t1!)",
         "pl.sdotsp.h.0 s0, a0, t0", "pl.sdotsp.h.1 s1, a1, t0",
@@ -601,15 +602,15 @@ class TestRuns:
         assert tur.turbo_stats["bails"] == 0
 
     def test_stride_break_splits_the_run(self):
-        # From tile 5 on, row pointer a3 reads 4 bytes further on: its
-        # stride breaks once, so tiles 1-4 and 5-9 are two runs.
+        # From tile 10 on, row pointer a3 reads 4 bytes further on: its
+        # stride breaks once, so tiles 1-9 and 10-19 are two runs.
         def shift(tile, line):
             head = line.strip().split(",")
-            if tile >= 5 and head[0] == "li a3":
+            if tile >= 10 and head[0] == "li a3":
                 return f"    li a3, {int(head[1]) + 4}"
             return line
-        text = matvec_e(100, 64, edit=shift)
-        assert _runs(text) == [4, 5]
+        text = matvec_e(200, 64, edit=shift)
+        assert _runs(text) == [9, 10]
         ref, tur = _run_both(text)
         _assert_total_equivalence(ref, tur)
         assert tur.turbo_stats["nest_loops"] == 2
@@ -619,7 +620,7 @@ class TestRuns:
         # The instruction before the run loads SPR 0, so the first unit's
         # first prime waits a cycle; the later primes never wait.
         program = assemble(PRIMED)
-        assert _runs(PRIMED) == [4]
+        assert _runs(PRIMED) == [8]
         ref, tur = _run_both(PRIMED)
         _assert_total_equivalence(ref, tur)
         start = next(i for i in range(len(program))
@@ -672,7 +673,7 @@ class TestFusedPrologues:
         # which ends at its own loop's lp.setupi (the setup stays out),
         # or holds its loop unrolled when the loop is too short for a
         # window (lee2018's 3-trip conv loops); the first tile of a
-        # rerolled run keeps its block as the run's fallback.
+        # rerolled run would keep its block as the run's fallback.
         network = next(net for net in suite(1) if net.name == "lee2018")
         program = assemble(NetworkPlan(network, "e").text)
         cfg = build_cfg(program)
@@ -699,7 +700,6 @@ class TestFusedPrologues:
                 assert plan["end"] == (setup.addr + setup.imm2) // 4 + 1
                 unrolled += 1
         assert unrolled == 100
-        assert any(plan[0] == "run" for plan in plans.values())
         params = quantize_params(
             init_params(network, np.random.default_rng(2020)))
         cpu = NetworkProgram(network, params, "e", engine="turbo").cpu
